@@ -95,11 +95,12 @@ CellResult run_cell(const fault::ByzantineSpec& spec, bool defended,
     cell.satisfied.add(engine.overlay().satisfied_fraction());
     cell.honest_satisfied.add(
         honest_satisfied_fraction(engine.overlay(), book.get()));
-    const health::SuspicionBook& suspicion = engine.suspicion();
+    const NodeRuntime& runtime = engine.runtime();
+    const health::SuspicionBook& suspicion = runtime.suspicion();
     cell.quarantines += suspicion.quarantines();
     cell.blacklists += suspicion.blacklists();
-    cell.quarantine_detaches += engine.quarantine_detaches();
-    if (const fault::ByzantineOracle* wrapped = engine.byzantine_oracle())
+    cell.quarantine_detaches += runtime.quarantine_detaches();
+    if (const fault::ByzantineOracle* wrapped = runtime.byzantine_oracle())
       cell.implausible_skips += wrapped->implausible_skips();
 
     // Feed phase over the final overlay: loss-free pushes, no repair —

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                 "detaches: %llu\n\n",
                 burned_in / count,
                 static_cast<unsigned long long>(
-                    engine.maintenance_detaches()));
+                    engine.runtime().maintenance_detaches()));
   }
 
   // --- mass failure and recovery -----------------------------------------

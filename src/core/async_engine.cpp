@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "fault/faulty_oracle.hpp"
-#include "telemetry/health.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/perf.hpp"
 #include "telemetry/profiler.hpp"
@@ -13,243 +11,40 @@
 namespace lagover {
 
 AsyncEngine::AsyncEngine(Population population, AsyncConfig config)
-    : config_(config),
-      overlay_(std::move(population)),
-      protocol_(make_protocol(config.algorithm, config.source_mode,
-                              config.maintenance_patience)),
-      oracle_(make_oracle(config.oracle)),
-      core_(std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                               config.timeout_steps)),
-      rng_(config.seed) {
-  LAGOVER_EXPECTS(config.min_interaction_time > 0.0);
-  LAGOVER_EXPECTS(config.max_interaction_time >= config.min_interaction_time);
-  LAGOVER_EXPECTS(config.maintenance_period > 0.0);
-  LAGOVER_EXPECTS(config.backoff_base > 0.0);
-  LAGOVER_EXPECTS(config.backoff_max >= config.backoff_base);
-  LAGOVER_EXPECTS(config.backoff_jitter >= 0.0 && config.backoff_jitter < 1.0);
-  LAGOVER_EXPECTS(config.parent_poll_miss_limit >= 1);
-  // An adversary book with no adversarial nodes is indistinguishable
-  // from no adversary: normalize it away so no hooks install and the
-  // run stays byte-identical to an adversary-free engine.
-  if (config_.adversary != nullptr && config_.adversary->empty())
-    config_.adversary.reset();
-  const std::size_t n = overlay_.node_count();
-  epochs_.resize(n);
-  detector_.resize(n, config_.health.phi);
-  grandparent_hint_.assign(n, kNoNode);
-  failover_pending_.assign(n, 0);
-  // Sized unconditionally (pure memory, no RNG): the suspicion-detach
-  // path touches the poll-miss counters even in adversary-only runs.
-  failed_attempts_.assign(n, 0);
-  parent_poll_misses_.assign(n, 0);
-  {
-    // The book's enabled flag tracks defense_active(): a defense config
-    // without an adversary layer has nothing to defend against.
-    health::DefenseConfig defense = config_.defense;
-    defense.enabled = defense_active();
-    suspicion_.resize(n, defense);
-  }
-  promised_delay_.assign(n, -1);
-  // Lease bookkeeping rides on the overlay's edge observers: pure
-  // record-keeping (no RNG, no scheduling), so the fault-free path is
-  // untouched.
-  overlay_.set_attach_observer([this](NodeId child, NodeId parent) {
-    epochs_.record_attachment(child, parent);
-    detector_.reset(child);
-    // Record the delay the parent promised (its *claimed* delay + 1):
-    // the child verifies it against reality on every maintenance poll.
-    if (defense_active() && config_.defense.delay_verification)
-      promised_delay_[child] =
-          static_cast<Delay>(protocol_->claimed_delay(overlay_, parent) + 1);
-  });
-  overlay_.set_detach_observer([this](NodeId child, NodeId /*parent*/) {
-    epochs_.clear_lease(child);
-    detector_.reset(child);
-    promised_delay_[child] = -1;
-  });
-  core_->set_trace_bus(&trace_bus_);
-  install_adversary_oracle();
-  install_admission_oracle();
-  install_fault_hooks();
-  install_core_hooks();
-  install_adversary_hooks();
+    : config_(std::move(config)),
+      runtime_(std::move(population), config_, config_.timeout_steps),
+      rng_(config_.seed) {
+  LAGOVER_EXPECTS(config_.min_interaction_time > 0.0);
+  LAGOVER_EXPECTS(config_.max_interaction_time >=
+                  config_.min_interaction_time);
+  LAGOVER_EXPECTS(config_.maintenance_period > 0.0);
+  LAGOVER_EXPECTS(config_.backoff_base > 0.0);
+  LAGOVER_EXPECTS(config_.backoff_max >= config_.backoff_base);
+  LAGOVER_EXPECTS(config_.backoff_jitter >= 0.0 &&
+                  config_.backoff_jitter < 1.0);
+  // Sized unconditionally (pure memory, no RNG).
+  failed_attempts_.assign(runtime_.overlay().node_count(), 0);
 #ifdef LAGOVER_AUDIT
   // Audit the overlay once per simulated time unit (the same cadence as
   // the synchronous engine's rounds). Read-only: it draws no RNG and
   // mutates nothing, so the construction trajectory is unchanged.
-  sim_.schedule_periodic(1.0, [this] { audit_tick(); });
+  sim_.schedule_periodic(
+      1.0, [this] { runtime_.audit(static_cast<Round>(sim_.now())); });
 #endif
-  register_health_run();
+  // Sample the health observatory at the audit tick's cadence. The
+  // event only exists when a recorder is active, keeping default runs
+  // byte-identical.
+  if (runtime_.health_observed())
+    sim_.schedule_periodic(
+        1.0, [this] { runtime_.sample_health(sim_.now()); });
   // Stagger the first wake-ups so nodes are desynchronized from t = 0.
-  for (NodeId id = 1; id < overlay_.node_count(); ++id)
+  for (NodeId id = 1; id < runtime_.overlay().node_count(); ++id)
     schedule_node(id, draw_duration());
 }
 
-AsyncEngine::~AsyncEngine() {
-  if (health_run_ == 0) return;
-  if (auto* recorder = telemetry::OverlayHealthRecorder::active())
-    recorder->end_run(health_run_);
-}
-
-void AsyncEngine::register_health_run() {
-  auto* recorder = telemetry::OverlayHealthRecorder::active();
-  if (recorder == nullptr) return;
-  // Flatten the constraints: telemetry/ sits below core/ and cannot see
-  // Overlay.
-  const std::size_t n = overlay_.node_count();
-  std::vector<int> fanout(n, 0);
-  std::vector<int> latency(n, 0);
-  for (NodeId id = 0; id < n; ++id) {
-    fanout[id] = overlay_.fanout_of(id);
-    latency[id] = overlay_.latency_of(id);
-  }
-  health_run_ = recorder->begin_run(fanout, latency);
-  // Sample once per simulated time unit — the audit tick's cadence.
-  // Read-only and RNG-free, so the construction trajectory is unchanged;
-  // the event only exists when a recorder is active, keeping default
-  // runs byte-identical.
-  sim_.schedule_periodic(1.0, [this] {
-    if (health_run_ == 0) return;
-    if (auto* active = telemetry::OverlayHealthRecorder::active())
-      active->note_round(health_run_, sim_.now());
-  });
-}
-
-void AsyncEngine::audit_tick() {
-  InvariantReport report =
-      audit_invariants(overlay_, config_.algorithm, &epochs_);
-  if (health_run_ != 0) {
-    // Cross-check the observatory's incremental mirror against this
-    // audit's independent recompute; mismatches ride the same bus (and
-    // the same zero-violation CI gates) as paper-invariant violations.
-    if (auto* recorder = telemetry::OverlayHealthRecorder::active()) {
-      InvariantReport health =
-          crosscheck_health(overlay_, *recorder, health_run_);
-      for (InvariantViolation& violation : health.violations)
-        report.violations.push_back(std::move(violation));
-    }
-  }
-  audit_violations_ +=
-      publish(report, audit_bus_, static_cast<Round>(sim_.now()));
-}
-
-void AsyncEngine::install_adversary_oracle() {
-  if (config_.adversary == nullptr) return;
-  // The Byzantine layer wraps the Oracle first, the fault layer (if any)
-  // second: Oracle outages and stale answers apply on top of the lies.
-  auto byzantine = std::make_unique<fault::ByzantineOracle>(config_.oracle,
-                                                            config_.adversary);
-  byzantine_oracle_ = byzantine.get();
-  if (defense_active()) {
-    byzantine->set_barred(
-        [this](NodeId node) { return suspicion_.barred(node); });
-    if (config_.defense.oracle_plausibility) {
-      byzantine->enable_plausibility_filter(true);
-      byzantine->set_plausibility_reporter(
-          [this](NodeId suspect, const char* cause) {
-            // report_once: the filter re-examines every candidate on
-            // every query, so the same lie must not re-count.
-            suspicion_.report_once(suspect, 3.0, epochs_.epoch(suspect),
-                                   cause);
-          });
-    }
-  }
-  oracle_ = std::move(byzantine);
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_steps);
-  core_->set_trace_bus(&trace_bus_);
-}
-
-void AsyncEngine::install_adversary_hooks() {
-  if (config_.adversary == nullptr) return;
-  // Every remote-delay admission decision in the protocol now runs on
-  // the partner's *claimed* delay — a delay-liar passes checks it would
-  // truthfully fail, which is exactly the attack surface.
-  protocol_->set_delay_claim(
-      [book = config_.adversary](NodeId node, Delay truth) {
-        return book->claimed_delay(node, truth);
-      });
-  core_->set_byzantine_reject_probe(
-      [book = config_.adversary](NodeId partner) {
-        return book->rejects_child(partner);
-      });
-  if (defense_active()) {
-    core_->set_candidate_filter(
-        [this](NodeId candidate) { return !suspicion_.barred(candidate); });
-    core_->set_suspicion_reporter(
-        [this](NodeId suspect, NodeId /*reporter*/, const char* cause) {
-          suspicion_.report(suspect, 1.0, epochs_.epoch(suspect), cause);
-        });
-  }
-}
-
-void AsyncEngine::install_admission_oracle() {
-  if (config_.admission.empty()) return;
-  admission_ = std::make_shared<AdmissionController>(config_.admission);
-  // Admission wraps the (possibly claim-filtered) Oracle before the
-  // fault layer does: rate limiting is a property of the service
-  // itself, outages apply on top of it.
-  auto admitted = std::make_unique<AdmittedOracle>(
-      std::move(oracle_), admission_, [this] { return sim_.now(); });
-  admission_oracle_ = admitted.get();
-  oracle_ = std::move(admitted);
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_steps);
-  core_->set_trace_bus(&trace_bus_);
-}
-
-void AsyncEngine::install_fault_hooks() {
-  if (config_.faults == nullptr) return;
-  failed_attempts_.assign(overlay_.node_count(), 0);
-  parent_poll_misses_.assign(overlay_.node_count(), 0);
-  auto clock = [this] { return sim_.now(); };
-  oracle_ = fault::maybe_wrap_oracle(std::move(oracle_), config_.faults,
-                                     clock);
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_steps);
-  core_->set_trace_bus(&trace_bus_);
-  core_->set_delivery_probe([this](NodeId from, NodeId to) {
-    return config_.faults->deliver(from, to, sim_.now());
-  });
-}
-
-void AsyncEngine::install_core_hooks() {
-  core_->set_clock([this] { return sim_.now(); });
-  // The epoch fence only guards construction state once a fault or
-  // adversary layer can actually re-incarnate nodes out from under it
-  // (crashes, flappers, domain outages); without either the probe stays
-  // uninstalled and churn-only runs are byte-stable.
-  if (config_.faults != nullptr || config_.adversary != nullptr)
-    core_->set_epoch_probe([this](NodeId id) { return epochs_.epoch(id); });
-  // A breaker-open Oracle reads as an outage: the cached-partner
-  // fallback serves (stale but local) instead of hammering a service
-  // that is already shedding load.
-  if (config_.faults != nullptr || admission_ != nullptr)
-    core_->set_oracle_outage_probe([this] {
-      if (config_.faults != nullptr && config_.faults->oracle_down(sim_.now()))
-        return true;
-      return admission_ != nullptr && admission_->open(sim_.now());
-    });
-}
-
 void AsyncEngine::set_oracle(std::unique_ptr<Oracle> oracle) {
-  LAGOVER_EXPECTS(oracle != nullptr);
   LAGOVER_EXPECTS(!started_);
-  // A replacement Oracle would bypass the Byzantine claim filter; the
-  // adversary layer owns the Oracle stack.
-  LAGOVER_EXPECTS(config_.adversary == nullptr);
-  oracle_ = std::move(oracle);
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_steps);
-  // Trace consumers live on trace_bus_, which the rebuilt core
-  // re-attaches to, so subscriptions survive the swap (previously a
-  // trace installed before set_oracle was silently lost).
-  core_->set_trace_bus(&trace_bus_);
-  // Re-apply the admission and fault layers around the replacement
-  // oracle (pre-run, so the fresh controller's counters lose nothing).
-  install_admission_oracle();
-  install_fault_hooks();
-  install_core_hooks();
+  runtime_.set_oracle(std::move(oracle));
 }
 
 void AsyncEngine::set_churn(std::unique_ptr<ChurnModel> churn) {
@@ -261,10 +56,9 @@ void AsyncEngine::set_churn(std::unique_ptr<ChurnModel> churn) {
 void AsyncEngine::park_offline(NodeId id) {
   LAGOVER_EXPECTS(!started_);
   LAGOVER_EXPECTS(id >= 1 && static_cast<std::size_t>(id) <
-                                 overlay_.node_count());
-  if (!overlay_.online(id)) return;
-  overlay_.set_offline(id);
-  core_->reset_node(id);
+                                 runtime_.overlay().node_count());
+  if (!runtime_.overlay().online(id)) return;
+  runtime_.leave(id);
 }
 
 void AsyncEngine::set_sampler(double period,
@@ -279,42 +73,28 @@ void AsyncEngine::set_sampler(double period,
 TraceBus::SubscriptionId AsyncEngine::set_trace(
     std::function<void(const TraceEvent&)> trace) {
   LAGOVER_EXPECTS(!started_);
-  if (trace_subscription_ != 0) {
-    trace_bus_.unsubscribe(trace_subscription_);
-    trace_subscription_ = 0;
-  }
-  if (trace) trace_subscription_ = trace_bus_.subscribe(std::move(trace));
-  return trace_subscription_;
+  return runtime_.swap_trace(std::move(trace));
 }
 
 void AsyncEngine::apply_churn() {
   if (!churn_) return;
-  const Round label = static_cast<Round>(sim_.now());
+  runtime_.advance_to(sim_.now());
+  const Overlay& overlay = runtime_.overlay();
   const ChurnModel::Decision decision =
-      churn_->decide(++churn_ticks_, overlay_, rng_);
+      churn_->decide(++churn_ticks_, overlay, rng_);
   for (NodeId id : decision.leave) {
-    if (!overlay_.online(id)) continue;
-    core_->emit({label, TraceEventType::kChurnLeave, id, kNoNode, false});
-    overlay_.set_offline(id);
-    core_->reset_node(id);
-    grandparent_hint_[id] = kNoNode;
-    failover_pending_[id] = 0;
+    if (!overlay.online(id)) continue;
+    // Announced while the node is still there (the synchronous engine
+    // announces after; recorded event streams pin both orders).
+    runtime_.emit(TraceEventType::kChurnLeave, id);
+    runtime_.leave(id);
   }
-  for (NodeId id : decision.join) {
-    if (overlay_.online(id)) continue;
-    overlay_.set_online(id);
-    core_->reset_node(id);
-    // A rejoining node is a new incarnation: state naming its previous
-    // life (referrals, cached partners, hints) is now fenced.
-    epochs_.bump(id);
-    if (defense_active()) suspicion_.note_epoch(id, epochs_.epoch(id));
-    core_->emit({label, TraceEventType::kChurnJoin, id, kNoNode, false});
-    // Rejoined nodes resume their action loop (their previous wake-up
-    // chain died at the offline check).
-    schedule_node(id, draw_duration());
-  }
+  // Rejoined nodes resume their action loop (their previous wake-up
+  // chain died at the offline check).
+  for (NodeId id : decision.join)
+    if (runtime_.join(id)) schedule_node(id, draw_duration());
   // Churn can invalidate a previous "converged" observation.
-  if (!overlay_.all_satisfied()) converged_ = false;
+  if (!overlay.all_satisfied()) converged_ = false;
 }
 
 double AsyncEngine::run_for(SimTime duration) {
@@ -324,7 +104,7 @@ double AsyncEngine::run_for(SimTime duration) {
   while (sim_.step(horizon)) {
   }
   sim_.run_until(horizon);
-  return overlay_.satisfied_fraction();
+  return runtime_.overlay().satisfied_fraction();
 }
 
 double AsyncEngine::draw_duration() {
@@ -351,46 +131,14 @@ void AsyncEngine::schedule_node(NodeId id, SimTime delay) {
 void AsyncEngine::crash_node(NodeId id, double downtime, const char* cause) {
   // The crash orphans the node's children (the overlay is the shared
   // ground truth, as with churn) and erases its session state; the node
-  // rejoins after `downtime`. kCrash is emitted BEFORE the structural
-  // change so observers (metrics recorders) can still see the children
-  // the crash is about to orphan.
-  const Round label = static_cast<Round>(sim_.now());
-  TraceEvent event{label, TraceEventType::kCrash, id, kNoNode, false};
-  event.cause = cause;
-  core_->emit(event);
-  if (defense_active()) {
-    // A crashing parent is instability evidence in proportion to the
-    // children it strands. Honest-but-unreliable nodes accrue it too:
-    // an unreliable parent is a poor parent regardless of intent.
-    const double orphaned =
-        static_cast<double>(overlay_.children(id).size());
-    if (orphaned > 0.0)
-      suspicion_.report(id, orphaned, epochs_.epoch(id), "unstable_parent");
-  }
-  if (config_.health.failover == health::FailoverPolicy::kLadder) {
-    // Arm the ladder for the children this crash orphans: their best
-    // local candidate is the crashed parent's own parent.
-    const NodeId grandparent = overlay_.parent(id);
-    for (const NodeId child : overlay_.children(id)) {
-      grandparent_hint_[child] = grandparent;
-      failover_pending_[child] = 1;
-    }
-  }
-  overlay_.set_offline(id);
-  core_->reset_node(id);
-  grandparent_hint_[id] = kNoNode;
-  failover_pending_[id] = 0;
+  // rejoins after `downtime` as a new incarnation.
+  runtime_.crash(id, cause);
   converged_ = false;
   sim_.schedule_after(std::max(downtime, 0.1), [this, id] {
-    if (overlay_.online(id)) return;  // churn already rejoined it
-    overlay_.set_online(id);
-    core_->reset_node(id);
-    // New incarnation: fence anything that still names the old one.
-    epochs_.bump(id);
-    if (defense_active()) suspicion_.note_epoch(id, epochs_.epoch(id));
-    core_->emit({static_cast<Round>(sim_.now()), TraceEventType::kRejoin, id,
-                 kNoNode, false});
-    schedule_node(id, draw_duration());
+    runtime_.advance_to(sim_.now());
+    // A node churn already rejoined keeps its wake chain.
+    if (runtime_.join(id, TraceEventType::kRejoin))
+      schedule_node(id, draw_duration());
   });
 }
 
@@ -398,22 +146,25 @@ void AsyncEngine::on_wake(NodeId id) {
   TELEM_SCOPE("async.wake");
   telemetry::note_sim_time(sim_.now());
   TELEM_COUNT("async.wakes", 1);
+  const Overlay& overlay = runtime_.overlay();
   // Without churn, faults, or adversaries, a converged overlay is final
   // and the wake chains may die out; otherwise they must keep running
   // (convergence is transient).
   if ((converged_ && !churn_ && !config_.faults && !config_.adversary) ||
-      !overlay_.online(id))
+      !overlay.online(id))
     return;
+  const SimTime now = sim_.now();
+  runtime_.advance_to(now);
   // Flapper adversaries and correlated domain outages take the node
   // down deterministically (pure functions of id and time — no engine
   // RNG), checked before the probabilistic crash roll.
   if (config_.adversary != nullptr &&
-      config_.adversary->flapping_down(id, sim_.now())) {
-    crash_node(id, config_.adversary->flap_remaining(id, sim_.now()), "flap");
+      config_.adversary->flapping_down(id, now)) {
+    crash_node(id, config_.adversary->flap_remaining(id, now), "flap");
     return;
   }
   if (config_.faults != nullptr) {
-    const double outage = config_.faults->domain_crash_outage(id, sim_.now());
+    const double outage = config_.faults->domain_crash_outage(id, now);
     if (outage > 0.0) {
       crash_node(id, outage, "domain");
       return;
@@ -421,163 +172,54 @@ void AsyncEngine::on_wake(NodeId id) {
   }
   // Crash fault: the node dies mid-action instead of proceeding —
   // attached nodes orphan their subtree, orphans just disappear.
-  if (config_.faults != nullptr &&
-      config_.faults->crash_roll(id, sim_.now())) {
-    crash_node(id, config_.faults->crash_downtime(sim_.now()), "");
+  if (config_.faults != nullptr && config_.faults->crash_roll(id, now)) {
+    crash_node(id, config_.faults->crash_downtime(now), "");
     return;
   }
-  if (overlay_.has_parent(id)) {
+  if (overlay.has_parent(id)) {
     wake_attached(id);
   } else {
     wake_orphan(id);
   }
-  if (overlay_.all_satisfied()) {
+  if (overlay.all_satisfied()) {
     converged_ = true;
-    converged_at_ = sim_.now();
+    converged_at_ = now;
   }
-}
-
-bool AsyncEngine::suspect_parent(NodeId id) {
-  if (config_.health.detection == health::DetectionPolicy::kPhiAccrual &&
-      detector_.primed(id)) {
-    // Adaptive rule: suspicion accrues with silence relative to the
-    // link's own observed poll cadence. The miss counter still runs so
-    // metrics stay comparable, but the verdict is phi's.
-    ++parent_poll_misses_[id];
-    return detector_.suspect(id, sim_.now());
-  }
-  // Fixed rule (and the fallback while the phi window is unprimed).
-  return ++parent_poll_misses_[id] >= config_.parent_poll_miss_limit;
-}
-
-void AsyncEngine::detach_suspected(NodeId id, NodeId parent, Round label,
-                                   TraceEventType type) {
-  parent_poll_misses_[id] = 0;
-  converged_ = false;
-  // Losing a parent to silence or a stale lease is (mild) instability
-  // evidence against it; kParentQuarantined is the ladder's own verdict
-  // being executed, not new evidence.
-  if (defense_active() && type != TraceEventType::kParentQuarantined)
-    suspicion_.report(parent, 1.0, epochs_.epoch(parent), "unstable_parent");
-  core_->detach_suspected(id, parent, label, type);
-  if (config_.health.failover == health::FailoverPolicy::kLadder)
-    failover_pending_[id] = 1;
-  schedule_node(id, draw_duration());
 }
 
 void AsyncEngine::wake_attached(NodeId id) {
-  const Round label = static_cast<Round>(sim_.now());
-  // Dead-parent detection: each maintenance wake-up doubles as a poll of
-  // the parent. A poll the fault layer cannot deliver (partition or
-  // message loss) is a miss; enough misses — fixed count or phi-accrual
-  // suspicion, per the health config — and the node concludes its parent
-  // is gone and re-orphans itself. Its subtree stays with it and follows
-  // once it re-attaches.
-  if (config_.faults != nullptr) {
-    const NodeId parent = overlay_.parent(id);
-    // Epoch fence: a lease on a previous incarnation of the parent is
-    // invalid no matter how healthy the link looks — re-orphan at once.
-    if (!epochs_.lease_valid(id, parent)) {
-      epochs_.note_fence();
-      protocol_->note_stale_epoch();
-      detach_suspected(id, parent, label, TraceEventType::kEpochFenced);
-      return;
-    }
-    if (!config_.faults->deliver(id, parent, sim_.now())) {
-      if (suspect_parent(id)) {
-        detach_suspected(id, parent, label, TraceEventType::kParentLost);
-        return;
-      }
+  switch (runtime_.poll_parent(id)) {
+    case PollVerdict::kMissed:
       // Missed poll but not yet suspicious: retry a full maintenance
       // period later.
       schedule_node(id, config_.maintenance_period);
       return;
-    }
-    parent_poll_misses_[id] = 0;
-    detector_.heartbeat(id, sim_.now());
-    // Poll replies piggy-back the parent's own parent: the first rung
-    // of the failover ladder should the parent die.
-    grandparent_hint_[id] = overlay_.parent(parent);
-  }
-  if (defense_active()) {
-    const NodeId parent = overlay_.parent(id);
-    // Child-side delay verification: compare the delay promised at the
-    // last attach/poll against the chain as actually observed. The
-    // promise is then refreshed to the parent's *current* claim, so an
-    // honest parent whose upstream grew is charged once for the growth
-    // while a liar (whose claim never matches reality) is charged on
-    // every poll.
-    if (config_.defense.delay_verification && overlay_.connected(id) &&
-        promised_delay_[id] > 0) {
-      const Delay observed = overlay_.delay_at(id);
-      if (observed > promised_delay_[id])
-        suspicion_.report(
-            parent,
-            std::min<double>(observed - promised_delay_[id], 3.0),
-            epochs_.epoch(parent), "delay_misreport");
-      promised_delay_[id] =
-          static_cast<Delay>(protocol_->claimed_delay(overlay_, parent) + 1);
-    }
-    // Receipt audit: a free-riding parent relays no feed items, so its
-    // children see no receipts over a full poll period. (Emulated via
-    // the adversary book; the feed layer drops the actual pushes.)
-    if (config_.defense.receipt_audit &&
-        config_.adversary->withholds_feed(parent))
-      suspicion_.report(parent, 1.0, epochs_.epoch(parent), "no_receipts");
-    // Ladder consequence: children abandon a barred parent immediately.
-    if (suspicion_.barred(parent)) {
-      ++quarantine_detaches_;
-      detach_suspected(id, parent, label,
-                       TraceEventType::kParentQuarantined);
+    case PollVerdict::kSuspected:
+      converged_ = false;
+      schedule_node(id, draw_duration());
       return;
-    }
+    case PollVerdict::kStayed:
+    case PollVerdict::kDetached:
+      break;
   }
-  // A node's DelayAt knowledge is piggy-backed down its chain, so the
-  // self-check runs on the parent's *reported* delay: a delay-liar's
-  // direct children believe claim + 1 and stay put while truly violated
-  // — the lie hides the damage from its victims. (The defense ladder's
-  // delay verification above measures actual arrival times, which the
-  // parent cannot fake.)
-  std::optional<bool> believed_violated;
-  if (config_.adversary != nullptr)
-    believed_violated =
-        protocol_->claimed_delay(overlay_, overlay_.parent(id)) + 1 >
-        overlay_.latency_of(id);
-  core_->maintenance_step(id, protocol_->maintenance_patience(), label,
-                          believed_violated);
   // Attached nodes only need periodic maintenance checks; detached
   // ones resume the construction loop at their own pace either way.
-  schedule_node(id, overlay_.has_parent(id) ? config_.maintenance_period
-                                            : draw_duration());
+  const bool attached = runtime_.overlay().has_parent(id);
+  schedule_node(id, attached ? config_.maintenance_period : draw_duration());
 }
 
 void AsyncEngine::wake_orphan(NodeId id) {
-  const Round label = static_cast<Round>(sim_.now());
-  // Failover ladder: a node orphaned by a suspicion event gets one shot
-  // at local recovery (grandparent hint, then cached partners) before
-  // rejoining the Oracle-driven loop. Deterministic and only ever armed
-  // by faults, so the fault-free path is untouched.
-  if (failover_pending_[id] != 0) {
-    failover_pending_[id] = 0;
-    const NodeId hint = grandparent_hint_[id];
-    grandparent_hint_[id] = kNoNode;
-    if (core_->failover_step(id, hint, label)) {
-      if (config_.faults != nullptr || admission_oracle_ != nullptr)
-        failed_attempts_[id] = 0;
-      schedule_node(id, config_.maintenance_period);
-      return;
-    }
+  if (runtime_.try_failover(id)) {
+    failed_attempts_[id] = 0;
+    schedule_node(id, config_.maintenance_period);
+    return;
   }
-  const StepOutcome outcome = core_->orphan_step(id, rng_, label);
+  const StepOutcome outcome = runtime_.orphan_step(id, rng_);
   // Admission rejection: the Oracle told this node to come back later.
   // Honor retry-after through the same exponential backoff machinery
   // fault setbacks use (floored at the advised wait), so a flash crowd
   // of rejected orphans spreads out instead of re-stampeding in sync.
-  // (Consume the flag unconditionally: the cached-partner fallback can
-  // still attach the node after a breaker rejection, and a stale flag
-  // must not misfire on a later, unrejected step.)
-  if (admission_oracle_ != nullptr && admission_oracle_->consume_rejection() &&
-      outcome.partner == kNoNode) {
+  if (outcome.rejected) {
     ++failed_attempts_[id];
     TELEM_COUNT("engine.admission_deferrals", 1);
     schedule_node(id,
@@ -593,8 +235,7 @@ void AsyncEngine::wake_orphan(NodeId id) {
     schedule_node(id, backoff_delay(id));
     return;
   }
-  if (config_.faults != nullptr || admission_oracle_ != nullptr)
-    failed_attempts_[id] = 0;
+  failed_attempts_[id] = 0;
   double duration = draw_duration();
   if (config_.network_latency != nullptr && outcome.partner != kNoNode) {
     // The negotiation round-trips with the partner: far peers cost
@@ -605,34 +246,10 @@ void AsyncEngine::wake_orphan(NodeId id) {
   schedule_node(id, duration);
 }
 
-void AsyncEngine::escalate_starvation(NodeId child) {
-  if (static_cast<std::size_t>(child) >= overlay_.node_count()) return;
-  if (!overlay_.online(child) || !overlay_.has_parent(child)) return;
-  const NodeId parent = overlay_.parent(child);
-  ++starvation_detaches_;
-  parent_poll_misses_[child] = 0;
-  converged_ = false;
-  // An overloaded parent is a poor parent for THIS child right now, but
-  // only mild evidence against it in general — weight 1, like a missed
-  // poll, not like a provable lie.
-  if (defense_active())
-    suspicion_.report(parent, 1.0, epochs_.epoch(parent), "starved");
-  overlay_.detach(child);
-  TraceEvent event{static_cast<Round>(sim_.now()), TraceEventType::kParentLost,
-                   child, parent, false};
-  event.cause = "starved";
-  core_->emit(event);
-  // No reschedule: the child's own wake chain is alive (attached nodes
-  // wake every maintenance period) and its next wake finds it orphaned.
-  if (config_.health.failover == health::FailoverPolicy::kLadder)
-    failover_pending_[child] = 1;
-  TELEM_COUNT("engine.starvation_detaches", 1);
-}
-
 std::optional<SimTime> AsyncEngine::run_until_converged(SimTime horizon) {
   const telemetry::PerfPhase perf_phase("construction");
   started_ = true;
-  if (overlay_.all_satisfied()) return sim_.now();
+  if (runtime_.overlay().all_satisfied()) return sim_.now();
   while (!converged_ && sim_.step(horizon)) {
   }
   if (converged_) return converged_at_;

@@ -11,32 +11,28 @@
 // every maintenance_period to evaluate the maintenance condition.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
-#include "core/admission.hpp"
-#include "core/construction_core.hpp"
 #include "core/engine.hpp"
+#include "core/node_runtime.hpp"
 #include "core/types.hpp"
 #include "core/validator.hpp"
-#include "fault/byzantine.hpp"
 #include "fault/fault_injector.hpp"
-#include "health/health.hpp"
-#include "health/suspicion.hpp"
+#include "health/lease.hpp"
 #include "net/latency_model.hpp"
 #include "sim/simulator.hpp"
 
 namespace lagover {
 
-struct AsyncConfig {
-  AlgorithmKind algorithm = AlgorithmKind::kHybrid;
-  OracleKind oracle = OracleKind::kRandomDelay;
-  SourceMode source_mode = SourceMode::kPullOnly;
+/// Parameters of an asynchronous run. The shared fields (RuntimeConfig)
+/// are clocked by simulation time.
+struct AsyncConfig : RuntimeConfig {
   int timeout_steps = 4;       ///< orphan actions before source contact
-  int maintenance_patience = 1;
   /// Interaction duration bounds; the synchronous engine corresponds to
   /// every duration being exactly 1.0 (one round).
   double min_interaction_time = 0.5;
@@ -48,10 +44,6 @@ struct AsyncConfig {
   /// addresses [0, consumers]; address = NodeId, 0 = the source).
   std::shared_ptr<net::LatencyModel> network_latency;
   double rtt_weight = 1.0;
-  /// Optional chaos layer. Null (or an empty FaultPlan) leaves the run
-  /// byte-identical to the fault-free engine for the same seed: no
-  /// extra engine-RNG draws happen and every hook below is inert.
-  std::shared_ptr<fault::FaultInjector> faults;
   /// Exponential backoff with jitter for failed interactions / source
   /// contacts (dropped request, partitioned peer, dead stale-Oracle
   /// partner, or a starved Oracle during an outage): the k-th
@@ -60,30 +52,6 @@ struct AsyncConfig {
   double backoff_base = 0.5;
   double backoff_max = 8.0;
   double backoff_jitter = 0.25;
-  /// Attached nodes poll their parent every maintenance_period; this
-  /// many consecutive undeliverable polls (partition / message loss)
-  /// convince a node its parent is dead and it re-orphans itself.
-  /// (The fixed fallback when health.detection selects phi-accrual.)
-  int parent_poll_miss_limit = 3;
-  /// Health layer: failure detection + failover policy. The defaults
-  /// (fixed misses, Oracle rejoin) reproduce the legacy behavior
-  /// byte-for-byte; epoch bookkeeping is always on but inert without
-  /// faults.
-  health::HealthConfig health;
-  /// Byzantine adversary layer (liars, free-riders, flappers). Null or
-  /// an empty book is normalized away: no hook installs, no RNG-stream
-  /// change, runs stay byte-identical to an adversary-free engine.
-  std::shared_ptr<fault::AdversaryBook> adversary;
-  /// Defense ladder (suspicion scoring, quarantine, Oracle plausibility
-  /// filter). Only engaged when both defense.enabled and an adversary
-  /// layer are present — defenses-off adversarial runs show the
-  /// undefended collapse.
-  health::DefenseConfig defense;
-  /// Oracle admission control (rate limiting + circuit breaker). An
-  /// empty config (no rate limit) installs nothing: no wrapper, no
-  /// RNG-stream change, runs stay byte-identical.
-  AdmissionConfig admission;
-  std::uint64_t seed = 1;
 };
 
 /// Runs construction on the event kernel and reports the simulated time
@@ -91,19 +59,25 @@ struct AsyncConfig {
 class LAGOVER_THREAD_HOSTILE AsyncEngine {
  public:
   AsyncEngine(Population population, AsyncConfig config);
-  /// Closes the health-observatory run, when one was registered.
-  ~AsyncEngine();
 
-  // The construction core and scheduled events reference this object,
-  // so it is pinned in place.
+  // The runtime borrows config_ and scheduled events reference this
+  // object, so it is pinned in place.
   AsyncEngine(const AsyncEngine&) = delete;
   AsyncEngine& operator=(const AsyncEngine&) = delete;
   AsyncEngine(AsyncEngine&&) = delete;
   AsyncEngine& operator=(AsyncEngine&&) = delete;
 
-  const Overlay& overlay() const noexcept { return overlay_; }
-  const Oracle& oracle() const noexcept { return *oracle_; }
+  const Overlay& overlay() const noexcept { return runtime_.overlay(); }
+  const Oracle& oracle() const noexcept { return runtime_.oracle(); }
   const Simulator& simulator() const noexcept { return sim_; }
+  const health::EpochBook& epochs() const noexcept {
+    return runtime_.epochs();
+  }
+  /// Per-node state, resilience layers and counters.
+  const NodeRuntime& runtime() const noexcept { return runtime_; }
+  const fault::FaultInjector* faults() const noexcept {
+    return config_.faults.get();
+  }
 
   /// Replaces the Oracle (e.g. a locality-biased or DHT-backed
   /// realization). Must be called before the first run.
@@ -136,81 +110,17 @@ class LAGOVER_THREAD_HOSTILE AsyncEngine {
   /// starts. Must be called before the first run.
   void set_sampler(double period, std::function<void(SimTime)> sampler);
 
-  /// Installs a trace observer (nullptr to disable). Must be called
-  /// before the first run. Legacy single-observer entry point, now a
-  /// named subscription on trace_bus(): calling it again releases the
-  /// previous subscription (its slot and retention-ring config with it)
-  /// before installing the replacement. Returns the new subscription id
-  /// (0 when disabling).
+  /// Installs a trace observer (nullptr to disable): a named
+  /// subscription on trace_bus() that a later call replaces (see
+  /// NodeRuntime::swap_trace). Must be called before the first run.
   TraceBus::SubscriptionId set_trace(
       std::function<void(const TraceEvent&)> trace);
-
-  /// The engine's trace event bus. Subscriptions survive set_oracle()
-  /// rebuilds — the core is re-pointed at the same bus.
-  TraceBus& trace_bus() noexcept { return trace_bus_; }
-
-  /// Paper-invariant audit sink. LAGOVER_AUDIT builds publish one event
-  /// per violation per audit tick (every simulated time unit); the bus
-  /// exists in every build so subscribers need no conditional
-  /// compilation.
-  AuditBus& audit_bus() noexcept { return audit_bus_; }
-
-  /// Total invariant violations seen by the periodic audit (always 0
-  /// in builds without LAGOVER_AUDIT).
+  TraceBus& trace_bus() noexcept { return runtime_.trace_bus(); }
+  /// Audits run once per simulated time unit in LAGOVER_AUDIT builds.
+  AuditBus& audit_bus() noexcept { return runtime_.audit_bus(); }
   std::uint64_t audit_violations() const noexcept {
-    return audit_violations_;
+    return runtime_.audit_violations();
   }
-
-  const fault::FaultInjector* faults() const noexcept {
-    return config_.faults.get();
-  }
-  const fault::AdversaryBook* adversary() const noexcept {
-    return config_.adversary.get();
-  }
-  /// Defense-ladder state (empty book when defenses are off).
-  const health::SuspicionBook& suspicion() const noexcept {
-    return suspicion_;
-  }
-  /// The claim-filtered Oracle, when an adversary layer is installed
-  /// (null otherwise); exposes barred/implausible skip counters.
-  const fault::ByzantineOracle* byzantine_oracle() const noexcept {
-    return byzantine_oracle_;
-  }
-  /// Children that abandoned a quarantined/blacklisted parent.
-  std::uint64_t quarantine_detaches() const noexcept {
-    return quarantine_detaches_;
-  }
-
-  /// Oracle admission controller, when admission control is configured
-  /// (null otherwise); exposes rate/breaker counters.
-  const AdmissionController* admission() const noexcept {
-    return admission_.get();
-  }
-  /// The admission-wrapped Oracle (null without admission control);
-  /// exposes the stale-served counter.
-  const AdmittedOracle* admitted_oracle() const noexcept {
-    return admission_oracle_;
-  }
-  /// Children the feed layer detached from a parent that starved them
-  /// (graceful-degradation escalation).
-  std::uint64_t starvation_detaches() const noexcept {
-    return starvation_detaches_;
-  }
-
-  /// Escalation entry point for the feed layer's degradation ladder: a
-  /// persistently starved child abandons its overloaded parent (mild
-  /// suspicion evidence when defenses run) and re-enters construction
-  /// on its next wake, spreading load across the tree. No-op when the
-  /// child is offline or already parentless.
-  void escalate_starvation(NodeId child);
-
-  /// Health-layer state, for validators and metrics.
-  const health::EpochBook& epochs() const noexcept { return epochs_; }
-  const health::PhiAccrualDetector& detector() const noexcept {
-    return detector_;
-  }
-  const Protocol& protocol() const noexcept { return *protocol_; }
-  const ConstructionCore& core() const noexcept { return *core_; }
 
  private:
   void schedule_node(NodeId id, SimTime delay);
@@ -223,93 +133,20 @@ class LAGOVER_THREAD_HOSTILE AsyncEngine {
   /// ("" = plain fault-plan crash, "flap" = adversarial flapper,
   /// "domain" = correlated domain outage).
   void crash_node(NodeId id, double downtime, const char* cause);
-  /// Wraps the Oracle in the Byzantine claim filter (before the fault
-  /// layer wraps it again, so outages apply on top of lies).
-  void install_adversary_oracle();
-  /// Installs the claimed-delay hook on the protocol and the reject /
-  /// defense hooks on the (final) construction core. Must run after
-  /// every core_ rebuild is done.
-  void install_adversary_hooks();
-  void install_fault_hooks();
-  void install_core_hooks();
-  /// Wraps the Oracle in the admission-control decorator (between the
-  /// Byzantine filter and the fault layer: rate limiting applies to the
-  /// service itself, outages on top of it).
-  void install_admission_oracle();
-  bool defense_active() const noexcept {
-    return config_.adversary != nullptr && config_.defense.enabled;
-  }
-  /// One undeliverable poll from id to its parent: updates the active
-  /// detection policy's state and reports whether the parent is now
-  /// suspected dead.
-  bool suspect_parent(NodeId id);
-  /// Re-orphans id after a suspicion / epoch fence, arming the failover
-  /// ladder when configured.
-  void detach_suspected(NodeId id, NodeId parent, Round label,
-                        TraceEventType type);
-  /// Runs the paper-invariant audit against the current overlay state
-  /// and publishes violations (scheduled once per simulated time unit
-  /// in LAGOVER_AUDIT builds).
-  void audit_tick();
-  /// Registers this run with the active OverlayHealthRecorder, if any,
-  /// and schedules the per-time-unit sampling tick. No recorder = no
-  /// scheduled event, so default runs stay byte-identical.
-  void register_health_run();
   double draw_duration();
   double backoff_delay(NodeId id);
 
   AsyncConfig config_;
-  Overlay overlay_;
-  std::unique_ptr<Protocol> protocol_;
-  std::unique_ptr<Oracle> oracle_;
-  std::unique_ptr<ConstructionCore> core_;
+  NodeRuntime runtime_;
   std::unique_ptr<ChurnModel> churn_;
-  TraceBus trace_bus_;
-  /// set_trace()'s subscription on trace_bus_ (0 = none installed).
-  TraceBus::SubscriptionId trace_subscription_ = 0;
-  AuditBus audit_bus_;
-  std::uint64_t audit_violations_ = 0;
-  /// Health-observatory run id (0 = no recorder active at construction).
-  std::uint64_t health_run_ = 0;
   Simulator sim_;
   Rng rng_;
   Round churn_ticks_ = 0;
   bool started_ = false;
   bool converged_ = false;
   SimTime converged_at_ = 0.0;
-  /// Consecutive failed attempts per node (drives the backoff; sized
-  /// only when a fault layer is installed).
+  /// Consecutive failed attempts per node (drives the backoff).
   std::vector<int> failed_attempts_;
-  /// Consecutive missed parent polls per attached node.
-  std::vector<int> parent_poll_misses_;
-  /// Health layer (always sized; pure bookkeeping without faults).
-  health::EpochBook epochs_;
-  health::PhiAccrualDetector detector_;
-  /// Last known parent-of-parent per node, piggy-backed on successful
-  /// polls — the first rung of the failover ladder.
-  std::vector<NodeId> grandparent_hint_;
-  /// Armed by a suspicion event (kParentLost / kEpochFenced / parent
-  /// crash): the node's next orphan wake tries the failover ladder
-  /// before the Oracle. Never set on the fault-free path.
-  std::vector<char> failover_pending_;
-  /// Defense-ladder scores and trust states (sized always, inert unless
-  /// defense_active()).
-  health::SuspicionBook suspicion_;
-  /// Delay each attached node was promised at attach time (parent's
-  /// claimed delay + 1); -1 = no active promise. Maintained only while
-  /// the defense ladder runs delay verification.
-  std::vector<Delay> promised_delay_;
-  /// Borrowed view of the claim-filtering Oracle (owned by oracle_,
-  /// possibly through the fault layer's wrapper). Null without an
-  /// adversary layer.
-  fault::ByzantineOracle* byzantine_oracle_ = nullptr;
-  std::uint64_t quarantine_detaches_ = 0;
-  /// Admission layer (null unless config_.admission is non-empty).
-  std::shared_ptr<AdmissionController> admission_;
-  /// Borrowed view of the admission decorator (owned by oracle_,
-  /// possibly through the fault layer's wrapper).
-  AdmittedOracle* admission_oracle_ = nullptr;
-  std::uint64_t starvation_detaches_ = 0;
 };
 
 }  // namespace lagover

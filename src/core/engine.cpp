@@ -4,11 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "core/fanout_greedy.hpp"
-#include "core/greedy.hpp"
-#include "core/hybrid.hpp"
-#include "fault/faulty_oracle.hpp"
-#include "telemetry/health.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/perf.hpp"
 #include "telemetry/profiler.hpp"
@@ -16,295 +11,51 @@
 
 namespace lagover {
 
-std::unique_ptr<Protocol> make_protocol(AlgorithmKind kind,
-                                        SourceMode source_mode,
-                                        int maintenance_patience) {
-  switch (kind) {
-    case AlgorithmKind::kGreedy:
-      return std::make_unique<GreedyProtocol>(source_mode);
-    case AlgorithmKind::kHybrid:
-      return std::make_unique<HybridProtocol>(source_mode,
-                                              maintenance_patience);
-    case AlgorithmKind::kFanoutGreedy:
-      return std::make_unique<FanoutGreedyProtocol>(source_mode);
-  }
-  throw InvalidArgument("unknown algorithm kind");
-}
-
 Engine::Engine(Population population, EngineConfig config)
-    : config_(config),
-      overlay_(std::move(population)),
-      protocol_(make_protocol(config.algorithm, config.source_mode,
-                              config.maintenance_patience)),
-      oracle_(make_oracle(config.oracle)),
-      core_(std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                               config.timeout_rounds)),
-      rng_(config.seed) {
-  LAGOVER_EXPECTS(config.timeout_rounds >= 1);
-  LAGOVER_EXPECTS(config.maintenance_patience >= 0);
-  LAGOVER_EXPECTS(config.parent_poll_miss_limit >= 1);
-  protocol_->set_orphaning_displacement(config.orphaning_displacement);
-  // An adversary book with no adversarial nodes is indistinguishable
-  // from no adversary: normalize it away so no hooks install and the
-  // run stays byte-identical to an adversary-free engine.
-  if (config_.adversary != nullptr && config_.adversary->empty())
-    config_.adversary.reset();
-  const std::size_t n = overlay_.node_count();
-  epochs_.resize(n);
-  detector_.resize(n, config_.health.phi);
-  grandparent_hint_.assign(n, kNoNode);
-  failover_pending_.assign(n, 0);
-  // Sized unconditionally (pure memory, no RNG): the suspicion-detach
-  // path touches the poll-miss counters even in adversary-only runs.
-  parent_poll_misses_.assign(n, 0);
-  {
-    // The book's enabled flag tracks defense_active(): a defense config
-    // without an adversary layer has nothing to defend against.
-    health::DefenseConfig defense = config_.defense;
-    defense.enabled = defense_active();
-    suspicion_.resize(n, defense);
+    : config_(std::move(config)),
+      runtime_(std::move(population), config_, config_.timeout_rounds),
+      rng_(config_.seed) {
+  runtime_.protocol().set_orphaning_displacement(
+      config_.orphaning_displacement);
+  if (!config_.admission.empty()) {
+    admission_defer_.assign(runtime_.overlay().node_count(), 0);
+    admission_attempts_.assign(runtime_.overlay().node_count(), 0);
   }
-  promised_delay_.assign(n, -1);
-  // Lease bookkeeping rides on the overlay's edge observers: pure
-  // record-keeping (no RNG), so the fault-free path is untouched.
-  overlay_.set_attach_observer([this](NodeId child, NodeId parent) {
-    epochs_.record_attachment(child, parent);
-    detector_.reset(child);
-    // Record the delay the parent promised (its *claimed* delay + 1):
-    // the child verifies it against reality on every maintenance poll.
-    if (defense_active() && config_.defense.delay_verification)
-      promised_delay_[child] =
-          static_cast<Delay>(protocol_->claimed_delay(overlay_, parent) + 1);
-  });
-  overlay_.set_detach_observer([this](NodeId child, NodeId /*parent*/) {
-    epochs_.clear_lease(child);
-    detector_.reset(child);
-    promised_delay_[child] = -1;
-  });
-  core_->set_trace_bus(&trace_bus_);
-  install_adversary_oracle();
-  install_admission_oracle();
-  install_fault_hooks();
-  install_core_hooks();
-  install_adversary_hooks();
-  register_health_run();
-}
-
-Engine::~Engine() {
-  if (health_run_ == 0) return;
-  if (auto* recorder = telemetry::OverlayHealthRecorder::active())
-    recorder->end_run(health_run_);
-}
-
-void Engine::register_health_run() {
-  auto* recorder = telemetry::OverlayHealthRecorder::active();
-  if (recorder == nullptr) return;
-  // Flatten the constraints: telemetry/ sits below core/ and cannot see
-  // Overlay. The mirror starts from the same everyone-online, everyone-
-  // parentless state the overlay starts from.
-  const std::size_t n = overlay_.node_count();
-  std::vector<int> fanout(n, 0);
-  std::vector<int> latency(n, 0);
-  for (NodeId id = 0; id < n; ++id) {
-    fanout[id] = overlay_.fanout_of(id);
-    latency[id] = overlay_.latency_of(id);
-  }
-  health_run_ = recorder->begin_run(fanout, latency);
-}
-
-void Engine::install_admission_oracle() {
-  if (config_.admission.empty()) return;
-  admission_ = std::make_shared<AdmissionController>(config_.admission);
-  // Admission wraps the (possibly claim-filtered) Oracle before the
-  // fault layer does: rate limiting is a property of the service
-  // itself, outages apply on top of it.
-  auto admitted = std::make_unique<AdmittedOracle>(
-      std::move(oracle_), admission_,
-      [this] { return static_cast<SimTime>(round_); });
-  admission_oracle_ = admitted.get();
-  oracle_ = std::move(admitted);
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_rounds);
-  core_->set_trace_bus(&trace_bus_);
-  admission_defer_.assign(overlay_.node_count(), 0);
-  admission_attempts_.assign(overlay_.node_count(), 0);
-}
-
-void Engine::install_adversary_oracle() {
-  if (config_.adversary == nullptr) return;
-  // The Byzantine layer wraps the Oracle first, the fault layer (if any)
-  // second: Oracle outages and stale answers apply on top of the lies.
-  auto byzantine = std::make_unique<fault::ByzantineOracle>(config_.oracle,
-                                                            config_.adversary);
-  byzantine_oracle_ = byzantine.get();
-  if (defense_active()) {
-    byzantine->set_barred(
-        [this](NodeId node) { return suspicion_.barred(node); });
-    if (config_.defense.oracle_plausibility) {
-      byzantine->enable_plausibility_filter(true);
-      byzantine->set_plausibility_reporter(
-          [this](NodeId suspect, const char* cause) {
-            // report_once: the filter re-examines every candidate on
-            // every query, so the same lie must not re-count.
-            suspicion_.report_once(suspect, 3.0, epochs_.epoch(suspect),
-                                   cause);
-          });
-    }
-  }
-  oracle_ = std::move(byzantine);
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_rounds);
-  core_->set_trace_bus(&trace_bus_);
-}
-
-void Engine::install_adversary_hooks() {
-  if (config_.adversary == nullptr) return;
-  // Every remote-delay admission decision in the protocol now runs on
-  // the partner's *claimed* delay — a delay-liar passes checks it would
-  // truthfully fail, which is exactly the attack surface.
-  protocol_->set_delay_claim(
-      [book = config_.adversary](NodeId node, Delay truth) {
-        return book->claimed_delay(node, truth);
-      });
-  core_->set_byzantine_reject_probe(
-      [book = config_.adversary](NodeId partner) {
-        return book->rejects_child(partner);
-      });
-  if (defense_active()) {
-    core_->set_candidate_filter(
-        [this](NodeId candidate) { return !suspicion_.barred(candidate); });
-    core_->set_suspicion_reporter(
-        [this](NodeId suspect, NodeId /*reporter*/, const char* cause) {
-          suspicion_.report(suspect, 1.0, epochs_.epoch(suspect), cause);
-        });
-  }
-}
-
-void Engine::install_core_hooks() {
-  // The epoch fence only guards construction state once a fault or
-  // adversary layer can actually re-incarnate nodes out from under it
-  // (crashes, flappers, domain outages); without either the probe stays
-  // uninstalled and churn-only runs are byte-stable.
-  if (config_.faults != nullptr || config_.adversary != nullptr)
-    core_->set_epoch_probe([this](NodeId id) { return epochs_.epoch(id); });
-  // A breaker-open Oracle reads as an outage: the cached-partner
-  // fallback serves (stale but local) instead of hammering a service
-  // that is already shedding load.
-  if (config_.faults != nullptr || admission_ != nullptr)
-    core_->set_oracle_outage_probe([this] {
-      const auto now = static_cast<SimTime>(round_);
-      if (config_.faults != nullptr && config_.faults->oracle_down(now))
-        return true;
-      return admission_ != nullptr && admission_->open(now);
-    });
-}
-
-void Engine::install_fault_hooks() {
-  if (config_.faults == nullptr) return;
-  parent_poll_misses_.assign(overlay_.node_count(), 0);
-  // The synchronous engine's clock is the round number.
-  oracle_ = fault::maybe_wrap_oracle(
-      std::move(oracle_), config_.faults,
-      [this] { return static_cast<SimTime>(round_); });
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_rounds);
-  core_->set_trace_bus(&trace_bus_);
-  core_->set_delivery_probe([this](NodeId from, NodeId to) {
-    return config_.faults->deliver(from, to, static_cast<SimTime>(round_));
-  });
 }
 
 void Engine::set_oracle(std::unique_ptr<Oracle> oracle) {
-  LAGOVER_EXPECTS(oracle != nullptr);
   LAGOVER_EXPECTS(!started_);
-  // A replacement Oracle would bypass the Byzantine claim filter; the
-  // adversary layer owns the Oracle stack.
-  LAGOVER_EXPECTS(config_.adversary == nullptr);
-  oracle_ = std::move(oracle);
-  // The core borrows the oracle; rebuild it against the new one. Trace
-  // consumers live on trace_bus_, which the rebuilt core re-attaches
-  // to, so subscriptions survive the swap.
-  core_ = std::make_unique<ConstructionCore>(overlay_, *protocol_, *oracle_,
-                                             config_.timeout_rounds);
-  core_->set_trace_bus(&trace_bus_);
-  // Re-apply the admission and fault layers around the replacement
-  // oracle (pre-run, so the fresh controller's counters lose nothing).
-  install_admission_oracle();
-  install_fault_hooks();
-  install_core_hooks();
+  runtime_.set_oracle(std::move(oracle));
 }
 
 void Engine::set_churn(std::unique_ptr<ChurnModel> churn) {
   churn_ = std::move(churn);
 }
 
-TraceBus::SubscriptionId Engine::set_trace(
-    std::function<void(const TraceEvent&)> trace) {
-  if (trace_subscription_ != 0) {
-    trace_bus_.unsubscribe(trace_subscription_);
-    trace_subscription_ = 0;
-  }
-  if (trace) trace_subscription_ = trace_bus_.subscribe(std::move(trace));
-  return trace_subscription_;
+void Engine::clear_admission_backoff(NodeId id) {
+  if (admission_defer_.empty()) return;
+  admission_defer_[id] = 0;
+  admission_attempts_[id] = 0;
 }
 
 void Engine::apply_churn() {
   if (!churn_) return;
-  const ChurnModel::Decision decision = churn_->decide(round_, overlay_, rng_);
+  const ChurnModel::Decision decision =
+      churn_->decide(round_, runtime_.overlay(), rng_);
   for (NodeId id : decision.leave) {
-    if (!overlay_.online(id)) continue;
-    overlay_.set_offline(id);
-    core_->reset_node(id);
-    grandparent_hint_[id] = kNoNode;
-    failover_pending_[id] = 0;
-    if (admission_ != nullptr) {
-      admission_defer_[id] = 0;
-      admission_attempts_[id] = 0;
-    }
-    core_->emit({round_, TraceEventType::kChurnLeave, id, kNoNode, false});
+    if (!runtime_.overlay().online(id)) continue;
+    runtime_.leave(id);
+    clear_admission_backoff(id);
+    // Announced once the node is gone (the asynchronous engine
+    // announces first; recorded event streams pin both orders).
+    runtime_.emit(TraceEventType::kChurnLeave, id);
   }
-  for (NodeId id : decision.join) {
-    if (overlay_.online(id)) continue;
-    overlay_.set_online(id);
-    core_->reset_node(id);
-    // A rejoining node is a new incarnation: state naming its previous
-    // life (referrals, cached partners, hints) is now fenced.
-    epochs_.bump(id);
-    if (defense_active()) suspicion_.note_epoch(id, epochs_.epoch(id));
-    core_->emit({round_, TraceEventType::kChurnJoin, id, kNoNode, false});
-  }
+  for (NodeId id : decision.join) runtime_.join(id);
 }
 
 void Engine::crash_node(NodeId id, double downtime, const char* cause) {
-  // kCrash is emitted BEFORE the structural change so observers
-  // (metrics recorders) can still see the children the crash orphans.
-  TraceEvent event{round_, TraceEventType::kCrash, id, kNoNode, false};
-  event.cause = cause;
-  core_->emit(event);
-  if (defense_active()) {
-    // A crashing parent is instability evidence in proportion to the
-    // children it strands. Honest-but-unreliable nodes accrue it too:
-    // an unreliable parent is a poor parent regardless of intent.
-    const double orphaned =
-        static_cast<double>(overlay_.children(id).size());
-    if (orphaned > 0.0)
-      suspicion_.report(id, orphaned, epochs_.epoch(id), "unstable_parent");
-  }
-  if (config_.health.failover == health::FailoverPolicy::kLadder) {
-    const NodeId grandparent = overlay_.parent(id);
-    for (const NodeId child : overlay_.children(id)) {
-      grandparent_hint_[child] = grandparent;
-      failover_pending_[child] = 1;
-    }
-  }
-  overlay_.set_offline(id);
-  core_->reset_node(id);
-  grandparent_hint_[id] = kNoNode;
-  failover_pending_[id] = 0;
-  if (admission_ != nullptr) {
-    admission_defer_[id] = 0;
-    admission_attempts_[id] = 0;
-  }
+  runtime_.crash(id, cause);
+  clear_admission_backoff(id);
   const Round back =
       round_ + std::max<Round>(1, static_cast<Round>(std::ceil(downtime)));
   crash_rejoins_.emplace_back(back, id);
@@ -314,15 +65,16 @@ void Engine::apply_scheduled_crashes() {
   // Flapper duty cycles and correlated domain-outage windows are pure
   // functions of (node, time) — no engine RNG — applied as a dedicated
   // pass so both attached nodes and orphans go down on schedule.
+  const Overlay& overlay = runtime_.overlay();
   const auto t = static_cast<SimTime>(round_);
   if (config_.adversary != nullptr) {
-    for (NodeId id = 1; id < overlay_.node_count(); ++id)
-      if (overlay_.online(id) && config_.adversary->flapping_down(id, t))
+    for (NodeId id = 1; id < overlay.node_count(); ++id)
+      if (overlay.online(id) && config_.adversary->flapping_down(id, t))
         crash_node(id, config_.adversary->flap_remaining(id, t), "flap");
   }
   if (config_.faults != nullptr && config_.faults->domains() != nullptr) {
-    for (NodeId id = 1; id < overlay_.node_count(); ++id) {
-      if (!overlay_.online(id)) continue;
+    for (NodeId id = 1; id < overlay.node_count(); ++id) {
+      if (!overlay.online(id)) continue;
       const double outage = config_.faults->domain_crash_outage(id, t);
       if (outage > 0.0) crash_node(id, outage, "domain");
     }
@@ -336,61 +88,10 @@ void Engine::apply_fault_rejoins() {
       *due++ = *it;
       continue;
     }
-    const NodeId id = it->second;
-    if (overlay_.online(id)) continue;  // churn already rejoined it
-    overlay_.set_online(id);
-    core_->reset_node(id);
-    // New incarnation: fence anything that still names the old one.
-    epochs_.bump(id);
-    if (defense_active()) suspicion_.note_epoch(id, epochs_.epoch(id));
-    core_->emit({round_, TraceEventType::kRejoin, id, kNoNode, false});
+    // A node churn already rejoined stays as it is.
+    runtime_.join(it->second, TraceEventType::kRejoin);
   }
   crash_rejoins_.erase(due, crash_rejoins_.end());
-}
-
-bool Engine::suspect_parent(NodeId id) {
-  if (config_.health.detection == health::DetectionPolicy::kPhiAccrual &&
-      detector_.primed(id)) {
-    // Adaptive rule: suspicion accrues with silence relative to the
-    // link's own observed poll cadence. The miss counter still runs so
-    // metrics stay comparable, but the verdict is phi's.
-    ++parent_poll_misses_[id];
-    return detector_.suspect(id, static_cast<double>(round_));
-  }
-  // Fixed rule (and the fallback while the phi window is unprimed).
-  return ++parent_poll_misses_[id] >= config_.parent_poll_miss_limit;
-}
-
-void Engine::detach_suspected(NodeId id, NodeId parent, TraceEventType type) {
-  parent_poll_misses_[id] = 0;
-  // Losing a parent to silence or a stale lease is (mild) instability
-  // evidence against it; kParentQuarantined is the ladder's own verdict
-  // being executed, not new evidence.
-  if (defense_active() && type != TraceEventType::kParentQuarantined)
-    suspicion_.report(parent, 1.0, epochs_.epoch(parent), "unstable_parent");
-  core_->detach_suspected(id, parent, round_, type);
-  if (config_.health.failover == health::FailoverPolicy::kLadder)
-    failover_pending_[id] = 1;
-}
-
-void Engine::escalate_starvation(NodeId child) {
-  if (static_cast<std::size_t>(child) >= overlay_.node_count()) return;
-  if (!overlay_.online(child) || !overlay_.has_parent(child)) return;
-  const NodeId parent = overlay_.parent(child);
-  ++starvation_detaches_;
-  parent_poll_misses_[child] = 0;
-  // An overloaded parent is a poor parent for THIS child right now, but
-  // only mild evidence against it in general — weight 1, like a missed
-  // poll, not like a provable lie.
-  if (defense_active())
-    suspicion_.report(parent, 1.0, epochs_.epoch(parent), "starved");
-  overlay_.detach(child);
-  TraceEvent event{round_, TraceEventType::kParentLost, child, parent, false};
-  event.cause = "starved";
-  core_->emit(event);
-  if (config_.health.failover == health::FailoverPolicy::kLadder)
-    failover_pending_[child] = 1;
-  TELEM_COUNT("engine.starvation_detaches", 1);
 }
 
 RoundStats Engine::run_round() {
@@ -398,20 +99,23 @@ RoundStats Engine::run_round() {
   started_ = true;
   ++round_;
   telemetry::note_sim_time(static_cast<double>(round_));
+  // The synchronous engine's clock is the round number.
+  const auto t = static_cast<SimTime>(round_);
+  runtime_.advance_to(t);
   apply_churn();
   if (config_.faults != nullptr) apply_fault_rejoins();
   if (config_.adversary != nullptr || config_.faults != nullptr)
     apply_scheduled_crashes();
 
+  const Overlay& overlay = runtime_.overlay();
   // With stale chain knowledge, snapshot each node's violation state
   // BEFORE this round's maintenance so decisions can be based on what a
   // node believed `knowledge_lag` rounds ago.
   if (config_.knowledge_lag > 0) {
-    std::vector<char> snapshot(overlay_.node_count(), 0);
-    for (NodeId id = 1; id < overlay_.node_count(); ++id) {
-      if (!overlay_.online(id) || !overlay_.has_parent(id)) continue;
-      snapshot[id] =
-          overlay_.delay_at(id) > overlay_.latency_of(id) ? 1 : 0;
+    std::vector<char> snapshot(overlay.node_count(), 0);
+    for (NodeId id = 1; id < overlay.node_count(); ++id) {
+      if (!overlay.online(id) || !overlay.has_parent(id)) continue;
+      snapshot[id] = overlay.delay_at(id) > overlay.latency_of(id) ? 1 : 0;
     }
     violation_snapshots_.push_front(std::move(snapshot));
     while (violation_snapshots_.size() >
@@ -419,199 +123,93 @@ RoundStats Engine::run_round() {
       violation_snapshots_.pop_back();
   }
 
-  // Maintenance pass over connected nodes. With instantaneous knowledge
-  // it is evaluated on live state: an upstream detach earlier in the
-  // pass already changed downstream Root()/DelayAt() values.
-  const int patience = protocol_->maintenance_patience();
+  // Maintenance pass: every node polls its parent. With instantaneous
+  // knowledge it is evaluated on live state: an upstream detach earlier
+  // in the pass already changed downstream Root()/DelayAt() values.
   const bool lagged =
       config_.knowledge_lag > 0 &&
       violation_snapshots_.size() ==
           static_cast<std::size_t>(config_.knowledge_lag);
-  for (NodeId id = 1; id < overlay_.node_count(); ++id) {
+  for (NodeId id = 1; id < overlay.node_count(); ++id) {
     // Crash fault for attached nodes (orphans roll in the interaction
     // pass below): the node dies, its subtree is orphaned.
-    if (config_.faults != nullptr && overlay_.online(id) &&
-        overlay_.has_parent(id) &&
-        config_.faults->crash_roll(id, static_cast<SimTime>(round_))) {
-      crash_node(id,
-                 config_.faults->crash_downtime(static_cast<SimTime>(round_)),
-                 "");
+    if (config_.faults != nullptr && overlay.online(id) &&
+        overlay.has_parent(id) && config_.faults->crash_roll(id, t)) {
+      crash_node(id, config_.faults->crash_downtime(t), "");
       continue;
-    }
-    // Dead-parent detection (fault layer): the maintenance check
-    // doubles as a poll of the parent. Enough consecutive undeliverable
-    // polls (partition / loss) and the node re-orphans itself.
-    if (config_.faults != nullptr && overlay_.online(id) &&
-        overlay_.has_parent(id)) {
-      const NodeId parent = overlay_.parent(id);
-      // Epoch fence: a lease on a previous incarnation of the parent is
-      // invalid no matter how healthy the link looks.
-      if (!epochs_.lease_valid(id, parent)) {
-        epochs_.note_fence();
-        protocol_->note_stale_epoch();
-        detach_suspected(id, parent, TraceEventType::kEpochFenced);
-        continue;
-      }
-      if (!config_.faults->deliver(id, parent,
-                                   static_cast<SimTime>(round_))) {
-        if (suspect_parent(id))
-          detach_suspected(id, parent, TraceEventType::kParentLost);
-        continue;  // the poll never arrived; no maintenance this round
-      }
-      parent_poll_misses_[id] = 0;
-      detector_.heartbeat(id, static_cast<double>(round_));
-      // Poll replies piggy-back the parent's own parent: the first rung
-      // of the failover ladder should the parent die.
-      grandparent_hint_[id] = overlay_.parent(parent);
-    }
-    if (defense_active() && overlay_.online(id) && overlay_.has_parent(id)) {
-      const NodeId parent = overlay_.parent(id);
-      // Child-side delay verification: compare the delay promised at
-      // the last attach/poll against the chain as actually observed.
-      // The promise is then refreshed to the parent's *current* claim,
-      // so an honest parent whose upstream grew is charged once for the
-      // growth while a liar (whose claim never matches reality) is
-      // charged on every poll.
-      if (config_.defense.delay_verification && overlay_.connected(id) &&
-          promised_delay_[id] > 0) {
-        const Delay observed_delay = overlay_.delay_at(id);
-        if (observed_delay > promised_delay_[id])
-          suspicion_.report(
-              parent,
-              std::min<double>(observed_delay - promised_delay_[id], 3.0),
-              epochs_.epoch(parent), "delay_misreport");
-        promised_delay_[id] =
-            static_cast<Delay>(protocol_->claimed_delay(overlay_, parent) + 1);
-      }
-      // Receipt audit: a free-riding parent relays no feed items, so
-      // its children see no receipts over a full poll period. (Emulated
-      // via the adversary book; the feed layer drops the actual pushes.)
-      if (config_.defense.receipt_audit &&
-          config_.adversary->withholds_feed(parent))
-        suspicion_.report(parent, 1.0, epochs_.epoch(parent), "no_receipts");
-      // Ladder consequence: children abandon a barred parent at once.
-      if (suspicion_.barred(parent)) {
-        ++quarantine_detaches_;
-        detach_suspected(id, parent, TraceEventType::kParentQuarantined);
-        continue;
-      }
     }
     std::optional<bool> observed;
     if (config_.knowledge_lag > 0)
       observed = lagged && violation_snapshots_.back()[id] != 0;
-    // A node's DelayAt knowledge is piggy-backed down its chain, so
-    // under an adversary the self-check runs on the parent's *reported*
-    // delay: a delay-liar's direct children believe claim + 1 and stay
-    // put while truly violated — the lie hides the damage from its
-    // victims. (Takes precedence over knowledge_lag; the snapshots are
-    // ground truth the victims would not have.)
-    if (config_.adversary != nullptr && overlay_.online(id) &&
-        overlay_.has_parent(id))
-      observed =
-          protocol_->claimed_delay(overlay_, overlay_.parent(id)) + 1 >
-          overlay_.latency_of(id);
-    core_->maintenance_step(id, patience, round_, observed);
+    runtime_.poll_parent(id, observed);
   }
 
   // Interaction pass: every parentless chain root acts once, in random
   // order (nodes are not synchronized; the shuffle models arbitrary
   // arrival order within a round).
   std::vector<NodeId> roots;
-  roots.reserve(overlay_.node_count());
-  for (NodeId id = 1; id < overlay_.node_count(); ++id)
-    if (overlay_.online(id) && !overlay_.has_parent(id)) roots.push_back(id);
+  roots.reserve(overlay.node_count());
+  for (NodeId id = 1; id < overlay.node_count(); ++id)
+    if (overlay.online(id) && !overlay.has_parent(id)) roots.push_back(id);
   rng_.shuffle(roots);
+  const bool rationed = !admission_defer_.empty();
   for (NodeId i : roots) {
     // Crash fault: the node dies mid-interaction instead of acting.
-    if (config_.faults != nullptr &&
-        config_.faults->crash_roll(i, static_cast<SimTime>(round_))) {
-      crash_node(i,
-                 config_.faults->crash_downtime(static_cast<SimTime>(round_)),
-                 "");
+    if (config_.faults != nullptr && config_.faults->crash_roll(i, t)) {
+      crash_node(i, config_.faults->crash_downtime(t), "");
       continue;
     }
-    // Failover ladder: a node orphaned by a suspicion event gets one
-    // shot at local recovery before the Oracle-driven loop. Only ever
-    // armed by faults, so the fault-free path is untouched.
-    if (failover_pending_[i] != 0) {
-      failover_pending_[i] = 0;
-      const NodeId hint = grandparent_hint_[i];
-      grandparent_hint_[i] = kNoNode;
-      if (core_->failover_step(i, hint, round_)) {
-        if (admission_ != nullptr) admission_attempts_[i] = 0;
-        continue;
-      }
+    if (runtime_.try_failover(i)) {
+      if (rationed) admission_attempts_[i] = 0;
+      continue;
     }
     // Admission backoff: a node the Oracle rejected sits out its
     // retry-after window instead of re-stampeding the service.
-    if (admission_ != nullptr && admission_defer_[i] > round_) continue;
-    const StepOutcome outcome = core_->orphan_step(i, rng_, round_);
-    if (admission_oracle_ != nullptr) {
-      if (admission_oracle_->consume_rejection() &&
-          outcome.partner == kNoNode) {
-        // Exponential retry spread (mirrors the async engine's backoff
-        // machinery at round granularity): the k-th consecutive
-        // rejection defers the node retry_after * 2^(k-1) rounds.
-        const int attempts = std::min(++admission_attempts_[i], 6);
-        const double wait = config_.admission.retry_after *
-                            static_cast<double>(1 << (attempts - 1));
-        admission_defer_[i] =
-            round_ +
-            std::max<Round>(1, static_cast<Round>(std::llround(wait)));
-        TELEM_COUNT("engine.admission_deferrals", 1);
-      } else if (outcome.partner != kNoNode) {
-        admission_attempts_[i] = 0;
-      }
+    if (rationed && admission_defer_[i] > round_) continue;
+    const StepOutcome outcome = runtime_.orphan_step(i, rng_);
+    if (!rationed) continue;
+    if (outcome.rejected) {
+      // Exponential retry spread (mirrors the async engine's backoff
+      // machinery at round granularity): the k-th consecutive
+      // rejection defers the node retry_after * 2^(k-1) rounds.
+      const int attempts = std::min(++admission_attempts_[i], 6);
+      const double wait = config_.admission.retry_after *
+                          static_cast<double>(1 << (attempts - 1));
+      admission_defer_[i] =
+          round_ + std::max<Round>(1, static_cast<Round>(std::llround(wait)));
+      TELEM_COUNT("engine.admission_deferrals", 1);
+    } else if (outcome.partner != kNoNode) {
+      admission_attempts_[i] = 0;
     }
   }
 
   RoundStats stats;
   stats.round = round_;
-  stats.online = overlay_.online_count();
-  stats.satisfied = overlay_.satisfied_count();
-  stats.satisfied_fraction = overlay_.satisfied_fraction();
+  stats.online = overlay.online_count();
+  stats.satisfied = overlay.satisfied_count();
+  stats.satisfied_fraction = overlay.satisfied_fraction();
   std::size_t orphans = 0;
-  for (NodeId id = 1; id < overlay_.node_count(); ++id)
-    if (overlay_.online(id) && !overlay_.has_parent(id)) ++orphans;
+  for (NodeId id = 1; id < overlay.node_count(); ++id)
+    if (overlay.online(id) && !overlay.has_parent(id)) ++orphans;
   stats.orphan_roots = orphans;
   TELEM_COUNT("engine.rounds", 1);
   TELEM_GAUGE("engine.online", static_cast<double>(stats.online));
   TELEM_GAUGE("engine.orphan_roots", static_cast<double>(stats.orphan_roots));
   TELEM_GAUGE("engine.satisfied_fraction", stats.satisfied_fraction);
   if (record_history_) history_.push_back(stats);
-  if (health_run_ != 0) {
-    if (auto* recorder = telemetry::OverlayHealthRecorder::active())
-      recorder->note_round(health_run_, static_cast<double>(round_));
-  }
+  runtime_.sample_health(t);
 #ifdef LAGOVER_AUDIT
-  audit_round();
+  runtime_.audit(round_);
 #endif
   return stats;
 }
 
-void Engine::audit_round() {
-  InvariantReport report =
-      audit_invariants(overlay_, config_.algorithm, &epochs_);
-  if (health_run_ != 0) {
-    // Cross-check the observatory's incremental mirror against this
-    // audit's independent recompute; mismatches ride the same bus (and
-    // the same zero-violation CI gates) as paper-invariant violations.
-    if (auto* recorder = telemetry::OverlayHealthRecorder::active()) {
-      InvariantReport health =
-          crosscheck_health(overlay_, *recorder, health_run_);
-      for (InvariantViolation& violation : health.violations)
-        report.violations.push_back(std::move(violation));
-    }
-  }
-  audit_violations_ += publish(report, audit_bus_, round_);
-}
-
 std::optional<Round> Engine::run_until_converged(Round max_rounds) {
   const telemetry::PerfPhase perf_phase("construction");
-  if (overlay_.all_satisfied()) return round_;
+  if (overlay().all_satisfied()) return round_;
   for (Round r = 0; r < max_rounds; ++r) {
     run_round();
-    if (overlay_.all_satisfied()) return round_;
+    if (overlay().all_satisfied()) return round_;
   }
   return std::nullopt;
 }

@@ -22,31 +22,21 @@
 
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
-#include "core/admission.hpp"
-#include "core/construction_core.hpp"
+#include "core/node_runtime.hpp"
 #include "core/oracle.hpp"
 #include "core/overlay.hpp"
-#include "core/protocol.hpp"
 #include "core/types.hpp"
 #include "core/validator.hpp"
-#include "fault/byzantine.hpp"
-#include "fault/fault_injector.hpp"
-#include "health/health.hpp"
-#include "health/suspicion.hpp"
+#include "health/lease.hpp"
 
 namespace lagover {
 
-/// Tunable parameters of a construction run.
-struct EngineConfig {
-  AlgorithmKind algorithm = AlgorithmKind::kHybrid;
-  OracleKind oracle = OracleKind::kRandomDelay;
-  SourceMode source_mode = SourceMode::kPullOnly;
+/// Tunable parameters of a construction run. The shared fields
+/// (RuntimeConfig) are clocked by the round number.
+struct EngineConfig : RuntimeConfig {
   /// Rounds an orphan waits (without acquiring a parent) before
   /// contacting the source directly.
   int timeout_rounds = 4;
-  /// Hybrid maintenance damping: consecutive violated rounds tolerated
-  /// before discarding the parent (greedy always reacts immediately).
-  int maintenance_patience = 1;
   /// Allow the orphaning-displacement move (Protocol docs); disabling it
   /// approximates the paper's literally-described move set for ablation.
   bool orphaning_displacement = true;
@@ -55,31 +45,6 @@ struct EngineConfig {
   /// rounds ago — piggy-backed information takes time to ride down the
   /// chain. 0 = instantaneous (the paper's simulator and our default).
   int knowledge_lag = 0;
-  /// Optional chaos layer (clocked by the round number). Null or an
-  /// empty FaultPlan leaves rounds byte-identical to the fault-free
-  /// engine: no hook fires and no extra engine-RNG draw happens.
-  std::shared_ptr<fault::FaultInjector> faults;
-  /// Consecutive rounds an attached node tolerates undeliverable parent
-  /// polls (partition / loss) before declaring the parent dead and
-  /// re-orphaning itself. (The fixed fallback when health.detection
-  /// selects phi-accrual.)
-  int parent_poll_miss_limit = 3;
-  /// Health layer: failure detection + failover policy. Defaults
-  /// reproduce the legacy behavior byte-for-byte.
-  health::HealthConfig health;
-  /// Byzantine adversary layer (liars, free-riders, flappers). Null or
-  /// an empty book is normalized away: no hook installs, no RNG-stream
-  /// change, rounds stay byte-identical to an adversary-free engine.
-  std::shared_ptr<fault::AdversaryBook> adversary;
-  /// Defense ladder (suspicion scoring, quarantine, Oracle plausibility
-  /// filter). Engaged only when both defense.enabled and an adversary
-  /// layer are present.
-  health::DefenseConfig defense;
-  /// Oracle admission control (rate limiting + circuit breaker). An
-  /// empty config (no rate limit) installs nothing: no wrapper, no
-  /// RNG-stream change, rounds stay byte-identical.
-  AdmissionConfig admission;
-  std::uint64_t seed = 1;
 };
 
 /// Per-round snapshot used by convergence tracking.
@@ -103,15 +68,14 @@ class ChurnModel {
   virtual Decision decide(Round round, const Overlay& overlay, Rng& rng) = 0;
 };
 
-/// Drives one LagOver construction run.
+/// Drives one LagOver construction run: the shuffled round loop over a
+/// NodeRuntime.
 class LAGOVER_THREAD_HOSTILE Engine {
  public:
   Engine(Population population, EngineConfig config);
-  /// Closes the health-observatory run, when one was registered.
-  ~Engine();
 
-  // The construction core holds references into this object, so the
-  // engine is pinned in place (heap-allocate it to hand it around).
+  // The runtime borrows config_, so the engine is pinned in place
+  // (heap-allocate it to hand it around).
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   Engine(Engine&&) = delete;
@@ -124,91 +88,39 @@ class LAGOVER_THREAD_HOSTILE Engine {
   /// Installs a churn model; nullptr disables churn.
   void set_churn(std::unique_ptr<ChurnModel> churn);
 
-  /// Installs a trace observer (nullptr to disable). Legacy single
-  /// -observer entry point, now a named subscription on trace_bus():
-  /// calling it again releases the previous subscription (its slot and
-  /// retention-ring config with it) before installing the replacement;
-  /// additional consumers should subscribe to the bus directly. Returns
-  /// the new subscription id (0 when disabling) so callers can hand the
-  /// slot to trace_bus().unsubscribe() themselves.
+  /// Installs a trace observer (nullptr to disable): a named
+  /// subscription on trace_bus() that a later call replaces (see
+  /// NodeRuntime::swap_trace). Returns the new subscription id.
   TraceBus::SubscriptionId set_trace(
-      std::function<void(const TraceEvent&)> trace);
-
-  /// The engine's trace event bus. Subscriptions survive set_oracle()
-  /// rebuilds — the core is re-pointed at the same bus.
-  TraceBus& trace_bus() noexcept { return trace_bus_; }
-
-  /// Paper-invariant audit sink. LAGOVER_AUDIT builds publish one event
-  /// per violation per round; the bus itself exists in every build so
-  /// subscribers need no conditional compilation.
-  AuditBus& audit_bus() noexcept { return audit_bus_; }
-
-  /// Total invariant violations seen by the per-round audit (always 0
-  /// in builds without LAGOVER_AUDIT).
+      std::function<void(const TraceEvent&)> trace) {
+    return runtime_.swap_trace(std::move(trace));
+  }
+  TraceBus& trace_bus() noexcept { return runtime_.trace_bus(); }
+  AuditBus& audit_bus() noexcept { return runtime_.audit_bus(); }
   std::uint64_t audit_violations() const noexcept {
-    return audit_violations_;
+    return runtime_.audit_violations();
   }
 
   /// When enabled, every round's RoundStats is retained in history().
   void set_record_history(bool record) { record_history_ = record; }
 
-  const Overlay& overlay() const noexcept { return overlay_; }
-  Overlay& overlay() noexcept { return overlay_; }
-  const Protocol& protocol() const noexcept { return *protocol_; }
-  const Oracle& oracle() const noexcept { return *oracle_; }
-  Round round() const noexcept { return round_; }
-  std::uint64_t maintenance_detaches() const noexcept {
-    return core_->maintenance_detaches();
+  const Overlay& overlay() const noexcept { return runtime_.overlay(); }
+  Overlay& overlay() noexcept { return runtime_.overlay(); }
+  const Oracle& oracle() const noexcept { return runtime_.oracle(); }
+  const health::EpochBook& epochs() const noexcept {
+    return runtime_.epochs();
   }
+  /// Per-node state, resilience layers and counters.
+  const NodeRuntime& runtime() const noexcept { return runtime_; }
+  Round round() const noexcept { return round_; }
   const std::vector<RoundStats>& history() const noexcept { return history_; }
   const EngineConfig& config() const noexcept { return config_; }
 
-  /// Health-layer state, for validators and metrics.
-  const health::EpochBook& epochs() const noexcept { return epochs_; }
-  const health::PhiAccrualDetector& detector() const noexcept {
-    return detector_;
+  /// The feed layer's degradation ladder: see
+  /// NodeRuntime::escalate_starvation.
+  void escalate_starvation(NodeId child) {
+    runtime_.escalate_starvation(child);
   }
-  const ConstructionCore& core() const noexcept { return *core_; }
-
-  const fault::AdversaryBook* adversary() const noexcept {
-    return config_.adversary.get();
-  }
-  /// Defense-ladder state (empty book when defenses are off).
-  const health::SuspicionBook& suspicion() const noexcept {
-    return suspicion_;
-  }
-  /// The claim-filtered Oracle, when an adversary layer is installed
-  /// (null otherwise); exposes barred/implausible skip counters.
-  const fault::ByzantineOracle* byzantine_oracle() const noexcept {
-    return byzantine_oracle_;
-  }
-  /// Children that abandoned a quarantined/blacklisted parent.
-  std::uint64_t quarantine_detaches() const noexcept {
-    return quarantine_detaches_;
-  }
-
-  /// Oracle admission controller, when admission control is configured
-  /// (null otherwise); exposes rate/breaker counters.
-  const AdmissionController* admission() const noexcept {
-    return admission_.get();
-  }
-  /// The admission-wrapped Oracle (null without admission control);
-  /// exposes the stale-served counter.
-  const AdmittedOracle* admitted_oracle() const noexcept {
-    return admission_oracle_;
-  }
-  /// Children the feed layer detached from a parent that starved them
-  /// (graceful-degradation escalation).
-  std::uint64_t starvation_detaches() const noexcept {
-    return starvation_detaches_;
-  }
-
-  /// Escalation entry point for the feed layer's degradation ladder: a
-  /// persistently starved child abandons its overloaded parent (mild
-  /// suspicion evidence when defenses run) and re-enters construction,
-  /// spreading load across the tree. No-op when the child is offline or
-  /// already parentless.
-  void escalate_starvation(NodeId child);
 
   /// Executes one construction round and returns its statistics.
   RoundStats run_round();
@@ -220,59 +132,22 @@ class LAGOVER_THREAD_HOSTILE Engine {
 
  private:
   void apply_churn();
-  /// Wraps the Oracle in the Byzantine claim filter (before the fault
-  /// layer wraps it again, so outages apply on top of lies).
-  void install_adversary_oracle();
-  /// Installs the claimed-delay hook on the protocol and the reject /
-  /// defense hooks on the (final) construction core. Must run after
-  /// every core_ rebuild is done.
-  void install_adversary_hooks();
-  void install_fault_hooks();
-  void install_core_hooks();
-  /// Wraps the Oracle in the admission-control decorator (between the
-  /// Byzantine filter and the fault layer: rate limiting applies to the
-  /// service itself, outages on top of it).
-  void install_admission_oracle();
   void apply_fault_rejoins();
   /// Deterministic down-states: flapper duty cycles and correlated
   /// domain-outage windows, checked once per round before the
   /// probabilistic crash rolls.
   void apply_scheduled_crashes();
-  bool defense_active() const noexcept {
-    return config_.adversary != nullptr && config_.defense.enabled;
-  }
   /// Crashes node i this round: offline + scheduled rejoin after
   /// `downtime` rounds (floored at 1). `cause` tags the kCrash event
   /// ("" = plain fault-plan crash, "flap" = adversarial flapper,
   /// "domain" = correlated domain outage).
   void crash_node(NodeId id, double downtime, const char* cause);
-  /// One undeliverable poll from id to its parent: updates the active
-  /// detection policy's state and reports whether the parent is now
-  /// suspected dead.
-  bool suspect_parent(NodeId id);
-  /// Re-orphans id after a suspicion / epoch fence, arming the failover
-  /// ladder when configured.
-  void detach_suspected(NodeId id, NodeId parent, TraceEventType type);
-  /// Runs the paper-invariant audit against the current overlay state
-  /// and publishes violations (called per round in LAGOVER_AUDIT builds).
-  void audit_round();
-  /// Registers this run with the active OverlayHealthRecorder, if any
-  /// (no recorder = no detour; default runs stay byte-identical).
-  void register_health_run();
+  /// Forgets a departed node's admission backoff.
+  void clear_admission_backoff(NodeId id);
 
   EngineConfig config_;
-  Overlay overlay_;
-  std::unique_ptr<Protocol> protocol_;
-  std::unique_ptr<Oracle> oracle_;
-  std::unique_ptr<ConstructionCore> core_;
+  NodeRuntime runtime_;
   std::unique_ptr<ChurnModel> churn_;
-  TraceBus trace_bus_;
-  /// set_trace()'s subscription on trace_bus_ (0 = none installed).
-  TraceBus::SubscriptionId trace_subscription_ = 0;
-  AuditBus audit_bus_;
-  std::uint64_t audit_violations_ = 0;
-  /// Health-observatory run id (0 = no recorder active at construction).
-  std::uint64_t health_run_ = 0;
   Rng rng_;
 
   Round round_ = 0;
@@ -282,45 +157,13 @@ class LAGOVER_THREAD_HOSTILE Engine {
   /// Ring buffer of per-node violation observations for knowledge_lag
   /// (entry k: the snapshot taken k rounds ago, newest first).
   std::deque<std::vector<char>> violation_snapshots_;
-  /// Fault-layer state (sized only when config_.faults is set).
-  std::vector<int> parent_poll_misses_;
+  /// Crashed nodes' scheduled rejoin rounds.
   std::vector<std::pair<Round, NodeId>> crash_rejoins_;
-  /// Health layer (always sized; pure bookkeeping without faults).
-  health::EpochBook epochs_;
-  health::PhiAccrualDetector detector_;
-  /// Last known parent-of-parent per node, learned on successful polls.
-  std::vector<NodeId> grandparent_hint_;
-  /// Armed by a suspicion event; the node's next orphan turn tries the
-  /// failover ladder before the Oracle.
-  std::vector<char> failover_pending_;
-  /// Defense-ladder scores and trust states (sized always, inert unless
-  /// defense_active()).
-  health::SuspicionBook suspicion_;
-  /// Delay each attached node was promised at attach time (parent's
-  /// claimed delay + 1); -1 = no active promise. Maintained only while
-  /// the defense ladder runs delay verification.
-  std::vector<Delay> promised_delay_;
-  /// Borrowed view of the claim-filtering Oracle (owned by oracle_,
-  /// possibly through the fault layer's wrapper). Null without an
-  /// adversary layer.
-  fault::ByzantineOracle* byzantine_oracle_ = nullptr;
-  std::uint64_t quarantine_detaches_ = 0;
-  /// Admission layer (null unless config_.admission is non-empty).
-  std::shared_ptr<AdmissionController> admission_;
-  /// Borrowed view of the admission decorator (owned by oracle_,
-  /// possibly through the fault layer's wrapper).
-  AdmittedOracle* admission_oracle_ = nullptr;
   /// Per-node retry-after deadline (round before which a rejected node
   /// sits out) and consecutive-rejection count driving the exponential
-  /// retry spread. Sized only when admission control is installed.
+  /// retry spread. Sized only when admission control is configured.
   std::vector<Round> admission_defer_;
   std::vector<int> admission_attempts_;
-  std::uint64_t starvation_detaches_ = 0;
 };
-
-/// Convenience: builds the protocol for an algorithm kind.
-std::unique_ptr<Protocol> make_protocol(AlgorithmKind kind,
-                                        SourceMode source_mode,
-                                        int maintenance_patience);
 
 }  // namespace lagover

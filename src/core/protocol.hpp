@@ -72,7 +72,7 @@ class Protocol {
   SourceMode source_mode() const noexcept { return source_mode_; }
   const ProtocolCounters& counters() const noexcept { return counters_; }
 
-  /// Counts one epoch-fence rejection (called by the construction core,
+  /// Counts one epoch-fence rejection (called by the node runtime,
   /// which owns the epoch-stamped state the fence guards).
   void note_stale_epoch() noexcept { ++counters_.stale_epoch_rejections; }
 

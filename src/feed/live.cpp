@@ -309,12 +309,12 @@ LiveReport run_live_dissemination(const Population& population,
           ? 1.0
           : 1.0 - static_cast<double>(report.total_late) /
                       static_cast<double>(report.total_deliveries);
-  report.starvation_detaches = engine.starvation_detaches();
-  if (const AdmissionController* control = engine.admission()) {
+  report.starvation_detaches = engine.runtime().starvation_detaches();
+  if (const AdmissionController* control = engine.runtime().admission()) {
     report.oracle_rejected = control->rejected();
     report.oracle_breaker_trips = control->breaker_trips();
   }
-  if (const AdmittedOracle* oracle = engine.admitted_oracle())
+  if (const AdmittedOracle* oracle = engine.runtime().admitted_oracle())
     report.oracle_stale_served = oracle->stale_served();
   report.audit_violations = engine.audit_violations();
   return report;

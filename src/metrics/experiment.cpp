@@ -39,8 +39,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     trial_result.converged = reached_full;
     trial_result.convergence_round = reached_round;
     trial_result.final_fraction = engine.overlay().satisfied_fraction();
-    trial_result.maintenance_detaches = engine.maintenance_detaches();
-    trial_result.interactions = engine.protocol().counters().interactions;
+    trial_result.maintenance_detaches =
+        engine.runtime().maintenance_detaches();
+    trial_result.interactions =
+        engine.runtime().protocol().counters().interactions;
     trial_result.oracle_queries = engine.oracle().stats().queries;
     trial_result.oracle_empty = engine.oracle().stats().empty_results;
 

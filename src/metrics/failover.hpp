@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/construction_core.hpp"
+#include "core/node_runtime.hpp"
 #include "core/overlay.hpp"
 #include "stats/sample.hpp"
 

@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/construction_core.hpp"
+#include "core/node_runtime.hpp"
 #include "core/overlay.hpp"
 #include "fault/fault_plan.hpp"
 #include "stats/timeseries.hpp"

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -766,30 +767,28 @@ NodeId storm_crowd_size(const Scenario& scenario, std::size_t peers) {
                           static_cast<NodeId>(peers) - 1);
 }
 
-template <typename EngineT>
-void collect_overload_counters(const EngineT& engine,
+void collect_overload_counters(const NodeRuntime& runtime,
                                ScenarioTrialResult& result) {
-  if (const AdmissionController* control = engine.admission()) {
+  if (const AdmissionController* control = runtime.admission()) {
     result.oracle_admitted = control->admitted();
     result.oracle_rejected = control->rejected();
     result.oracle_breaker_trips = control->breaker_trips();
   }
-  if (const AdmittedOracle* oracle = engine.admitted_oracle())
+  if (const AdmittedOracle* oracle = runtime.admitted_oracle())
     result.oracle_stale_served = oracle->stale_served();
-  result.starvation_detaches = engine.starvation_detaches();
+  result.starvation_detaches = runtime.starvation_detaches();
 }
 
-template <typename EngineT>
-void collect_defense_counters(const EngineT& engine,
+void collect_defense_counters(const NodeRuntime& runtime,
                               ScenarioTrialResult& result) {
-  const health::SuspicionBook& suspicion = engine.suspicion();
+  const health::SuspicionBook& suspicion = runtime.suspicion();
   result.suspicion_reports = suspicion.reports();
   result.fenced_reports = suspicion.fenced_reports();
   result.probations = suspicion.probations();
   result.quarantines = suspicion.quarantines();
   result.blacklists = suspicion.blacklists();
-  result.quarantine_detaches = engine.quarantine_detaches();
-  if (const fault::ByzantineOracle* oracle = engine.byzantine_oracle()) {
+  result.quarantine_detaches = runtime.quarantine_detaches();
+  if (const fault::ByzantineOracle* oracle = runtime.byzantine_oracle()) {
     result.oracle_barred_skips = oracle->barred_skips();
     result.oracle_implausible_skips = oracle->implausible_skips();
   }
@@ -809,74 +808,71 @@ ScenarioTrialResult run_scenario_trial(const Scenario& scenario, int trial) {
   result.horizon = scenario.horizon;
   auto adversary = build_adversary(scenario, node_count);
   auto faults = build_fault_injector(scenario, node_count, seed ^ 0xFA17);
+  RuntimeConfig shared;
+  shared.algorithm = scenario.algorithm;
+  shared.oracle = scenario.oracle;
+  shared.seed = seed;
+  shared.faults = faults;
+  shared.adversary = adversary;
+  shared.defense = scenario.defense;
+  shared.admission = scenario.overload.admission;
+  const auto last = static_cast<NodeId>(params.peers);
+  // Join storm: the tail of the id space waits offline until the flash
+  // crowd joins at once.
+  NodeId first_parked = last + 1;
+  if (scenario.overload.has_join_storm) {
+    const NodeId crowd = storm_crowd_size(scenario, params.peers);
+    result.storm_joiners = crowd;
+    first_parked -= crowd;
+  }
+  const auto bernoulli = [&scenario] {
+    return std::make_unique<BernoulliChurn>(scenario.churn_leave,
+                                            scenario.churn_join);
+  };
+  const auto flash_crowd = [&scenario] {
+    return std::make_unique<FlashCrowdChurn>(
+        static_cast<Round>(scenario.overload.join_storm_at));
+  };
 
+  std::optional<AsyncEngine> async_engine;
+  std::optional<Engine> sync_engine;
+  const NodeRuntime* runtime = nullptr;
   if (scenario.async) {
     AsyncConfig config;
-    config.algorithm = scenario.algorithm;
-    config.oracle = scenario.oracle;
-    config.seed = seed;
-    config.faults = faults;
-    config.adversary = adversary;
-    config.defense = scenario.defense;
-    config.admission = scenario.overload.admission;
-    AsyncEngine engine(std::move(population), config);
-    if (scenario.has_churn)
-      engine.set_churn(std::make_unique<BernoulliChurn>(scenario.churn_leave,
-                                                        scenario.churn_join));
+    static_cast<RuntimeConfig&>(config) = shared;
+    AsyncEngine& engine = async_engine.emplace(std::move(population), config);
+    if (scenario.has_churn) engine.set_churn(bernoulli());
     if (scenario.overload.has_join_storm) {
-      const NodeId crowd = storm_crowd_size(scenario, params.peers);
-      result.storm_joiners = crowd;
-      for (NodeId id = static_cast<NodeId>(params.peers) - crowd + 1;
-           id <= static_cast<NodeId>(params.peers); ++id)
-        engine.park_offline(id);
-      engine.set_churn(std::make_unique<FlashCrowdChurn>(
-          static_cast<Round>(scenario.overload.join_storm_at)));
+      for (NodeId id = first_parked; id <= last; ++id) engine.park_offline(id);
+      engine.set_churn(flash_crowd());
     }
     result.satisfied_fraction = engine.run_for(scenario.horizon);
-    result.converged = engine.overlay().all_satisfied();
-    result.audit_violations = engine.audit_violations();
-    collect_defense_counters(engine, result);
-    collect_overload_counters(engine, result);
-    if (faults != nullptr)
-      result.domain_crashes = faults->stats().domain_crashes;
-    if (scenario.feed.enabled)
-      run_feed_phase(scenario, engine.overlay(), adversary, seed, result);
+    runtime = &engine.runtime();
   } else {
     EngineConfig config;
-    config.algorithm = scenario.algorithm;
-    config.oracle = scenario.oracle;
-    config.seed = seed;
-    config.faults = faults;
-    config.adversary = adversary;
-    config.defense = scenario.defense;
-    config.admission = scenario.overload.admission;
-    Engine engine(std::move(population), config);
-    if (scenario.has_churn)
-      engine.set_churn(std::make_unique<BernoulliChurn>(scenario.churn_leave,
-                                                        scenario.churn_join));
+    static_cast<RuntimeConfig&>(config) = shared;
+    Engine& engine = sync_engine.emplace(std::move(population), config);
+    if (scenario.has_churn) engine.set_churn(bernoulli());
     if (scenario.overload.has_join_storm) {
-      const NodeId crowd = storm_crowd_size(scenario, params.peers);
-      result.storm_joiners = crowd;
-      for (NodeId id = static_cast<NodeId>(params.peers) - crowd + 1;
-           id <= static_cast<NodeId>(params.peers); ++id)
+      for (NodeId id = first_parked; id <= last; ++id)
         engine.overlay().set_offline(id);
-      engine.set_churn(std::make_unique<FlashCrowdChurn>(
-          static_cast<Round>(scenario.overload.join_storm_at)));
+      engine.set_churn(flash_crowd());
     }
     const Round rounds =
         std::max<Round>(1, static_cast<Round>(std::ceil(scenario.horizon)));
     RoundStats stats;
     for (Round r = 0; r < rounds; ++r) stats = engine.run_round();
     result.satisfied_fraction = stats.satisfied_fraction;
-    result.converged = engine.overlay().all_satisfied();
-    result.audit_violations = engine.audit_violations();
-    collect_defense_counters(engine, result);
-    collect_overload_counters(engine, result);
-    if (faults != nullptr)
-      result.domain_crashes = faults->stats().domain_crashes;
-    if (scenario.feed.enabled)
-      run_feed_phase(scenario, engine.overlay(), adversary, seed, result);
+    runtime = &engine.runtime();
   }
+  result.converged = runtime->overlay().all_satisfied();
+  result.audit_violations = runtime->audit_violations();
+  collect_defense_counters(*runtime, result);
+  collect_overload_counters(*runtime, result);
+  if (faults != nullptr)
+    result.domain_crashes = faults->stats().domain_crashes;
+  if (scenario.feed.enabled)
+    run_feed_phase(scenario, runtime->overlay(), adversary, seed, result);
   return result;
 }
 

@@ -1,9 +1,10 @@
 // Oracle admission-control tests: the windowed rate limiter's verdicts,
 // the circuit breaker's trip / half-open / close hysteresis, the
-// AdmittedOracle's stale-cache serving and rejection signalling, and the
-// engine-level guarantees — an empty AdmissionConfig normalizes away
-// (byte-identical run), a permissive one changes nothing either, and a
-// tight one actually rations the Oracle.
+// AdmittedOracle's stale-cache serving and rejection signalling, and
+// that an empty AdmissionConfig installs nothing. The engine-level
+// guarantees (a permissive config is byte-identical, a tight one
+// actually rations the Oracle) run on both schedulers in
+// test_conformance.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +12,6 @@
 
 #include "common/rng.hpp"
 #include "core/admission.hpp"
-#include "core/async_engine.hpp"
 #include "core/engine.hpp"
 #include "workload/constraints.hpp"
 
@@ -175,71 +175,12 @@ TEST(AdmittedOracleTest, RejectionSetsPendingFlagOnce) {
   EXPECT_FALSE(oracle.consume_rejection());  // reading clears it
 }
 
-std::vector<NodeId> parents_of(const Overlay& overlay) {
-  std::vector<NodeId> parents;
-  for (NodeId id = 1; id < overlay.node_count(); ++id)
-    parents.push_back(overlay.has_parent(id) ? overlay.parent(id) : kNoNode);
-  return parents;
-}
-
 TEST(EngineAdmissionTest, EmptyConfigInstallsNothing) {
   EngineConfig config;
   config.seed = 7;
   Engine engine(small_population(30, 7), config);
-  EXPECT_EQ(engine.admission(), nullptr);
-  EXPECT_EQ(engine.admitted_oracle(), nullptr);
-}
-
-TEST(EngineAdmissionTest, PermissiveAdmissionIsByteIdenticalSync) {
-  EngineConfig plain;
-  plain.seed = 7;
-  Engine baseline(small_population(30, 7), plain);
-  const auto base_round = baseline.run_until_converged(400);
-
-  // A limit no real query stream reaches: every query admits and passes
-  // straight through, so the run must be byte-identical anyway.
-  EngineConfig wired = plain;
-  wired.admission.rate_limit = 1e9;
-  Engine admitted(small_population(30, 7), wired);
-  const auto wired_round = admitted.run_until_converged(400);
-
-  EXPECT_EQ(base_round, wired_round);
-  EXPECT_EQ(parents_of(baseline.overlay()), parents_of(admitted.overlay()));
-  ASSERT_NE(admitted.admission(), nullptr);
-  EXPECT_EQ(admitted.admission()->rejected(), 0u);
-  EXPECT_EQ(admitted.admission()->stale_verdicts(), 0u);
-}
-
-TEST(EngineAdmissionTest, PermissiveAdmissionIsByteIdenticalAsync) {
-  AsyncConfig plain;
-  plain.seed = 11;
-  AsyncEngine baseline(small_population(30, 11), plain);
-  const double base_fraction = baseline.run_for(120.0);
-
-  AsyncConfig wired = plain;
-  wired.admission.rate_limit = 1e9;
-  AsyncEngine admitted(small_population(30, 11), wired);
-  const double wired_fraction = admitted.run_for(120.0);
-
-  EXPECT_DOUBLE_EQ(base_fraction, wired_fraction);
-  EXPECT_EQ(parents_of(baseline.overlay()), parents_of(admitted.overlay()));
-}
-
-TEST(EngineAdmissionTest, TightAdmissionRationsTheOracle) {
-  AsyncConfig config;
-  config.seed = 13;
-  config.admission.rate_limit = 2.0;
-  config.admission.window = 5.0;
-  config.admission.serve_stale = true;
-  AsyncEngine engine(small_population(40, 13), config);
-  engine.run_for(150.0);
-  ASSERT_NE(engine.admission(), nullptr);
-  EXPECT_GT(engine.admission()->admitted(), 0u);
-  // Forty orphans against two admits per five time units must overflow
-  // the window — degraded service (stale/reject), not free rein.
-  EXPECT_GT(engine.admission()->stale_verdicts() +
-                engine.admission()->rejected(),
-            0u);
+  EXPECT_EQ(engine.runtime().admission(), nullptr);
+  EXPECT_EQ(engine.runtime().admitted_oracle(), nullptr);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Byzantine-layer tests: deterministic adversary role assignment and
 // per-class behavior (AdversaryBook), the protocol's claimed-delay
 // interposition hook, the suspicion ladder (escalation, epoch fencing,
-// persistence across re-incarnations), correlated failure domains, and
-// the engine-level guarantees — an empty adversary spec plus empty
-// domains is byte-identical to the plain path, and the defense ladder
-// actually quarantines delay-liars where the undefended run degrades.
+// persistence across re-incarnations), and correlated failure domains.
+// The engine-level guarantees (an empty adversary spec plus empty
+// domains is byte-identical to the plain path; the defense ladder
+// quarantines delay-liars where the undefended run degrades) run on
+// both schedulers in test_conformance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,6 @@
 #include <set>
 #include <vector>
 
-#include "core/async_engine.hpp"
-#include "core/engine.hpp"
 #include "core/greedy.hpp"
 #include "fault/byzantine.hpp"
 #include "fault/domains.hpp"
@@ -32,13 +31,6 @@ using fault::FailureDomains;
 using health::DefenseConfig;
 using health::SuspicionBook;
 using health::TrustState;
-
-Population workload(std::size_t peers, std::uint64_t seed) {
-  WorkloadParams params;
-  params.peers = peers;
-  params.seed = seed;
-  return generate_workload(WorkloadKind::kBiUnCorr, params);
-}
 
 // --- adversary book ---------------------------------------------------
 
@@ -293,106 +285,6 @@ TEST(DomainsTest, PartitionWindowsCutCrossDomainLinksOnly) {
   EXPECT_FALSE(domains.reachable(1, kSourceId, 5.0));
   EXPECT_TRUE(domains.reachable(1, 3, 10.0));   // window closed
   EXPECT_DOUBLE_EQ(domains.crash_outage(1, 5.0), 0.0);  // not a crash
-}
-
-// --- engine byte-identity guard ---------------------------------------
-
-std::vector<NodeId> parents_of(const Overlay& overlay) {
-  std::vector<NodeId> parents;
-  for (NodeId id = 1; id < overlay.node_count(); ++id)
-    parents.push_back(overlay.has_parent(id) ? overlay.parent(id) : kNoNode);
-  return parents;
-}
-
-TEST(ByzantineEngineTest, EmptyAdversaryAndDomainsAreByteIdenticalAsync) {
-  // An installed-but-empty adversary book, an empty fault plan with an
-  // empty domain schedule, and an enabled-but-partnerless defense must
-  // all normalize away: same seed, same tree, byte for byte.
-  const SimTime horizon = 150.0;
-  AsyncConfig plain;
-  plain.seed = 7;
-  AsyncEngine baseline(workload(40, 7), plain);
-  const double base_fraction = baseline.run_for(horizon);
-
-  AsyncConfig wired = plain;
-  wired.adversary = std::make_shared<AdversaryBook>(ByzantineSpec{}, 41);
-  wired.defense.enabled = true;
-  auto injector = std::make_shared<fault::FaultInjector>(fault::FaultPlan{});
-  injector->set_domains(std::make_shared<FailureDomains>());
-  wired.faults = injector;
-  AsyncEngine guarded(workload(40, 7), wired);
-  const double wired_fraction = guarded.run_for(horizon);
-
-  EXPECT_DOUBLE_EQ(base_fraction, wired_fraction);
-  EXPECT_EQ(parents_of(baseline.overlay()), parents_of(guarded.overlay()));
-  EXPECT_EQ(guarded.byzantine_oracle(), nullptr);
-  EXPECT_EQ(guarded.suspicion().reports(), 0u);
-  EXPECT_EQ(guarded.quarantine_detaches(), 0u);
-}
-
-TEST(ByzantineEngineTest, EmptyAdversaryAndDomainsAreByteIdenticalSync) {
-  EngineConfig plain;
-  plain.seed = 11;
-  Engine baseline(workload(40, 11), plain);
-  const auto base_round = baseline.run_until_converged(400);
-
-  EngineConfig wired = plain;
-  wired.adversary = std::make_shared<AdversaryBook>(ByzantineSpec{}, 41);
-  wired.defense.enabled = true;
-  auto injector = std::make_shared<fault::FaultInjector>(fault::FaultPlan{});
-  injector->set_domains(std::make_shared<FailureDomains>());
-  wired.faults = injector;
-  Engine guarded(workload(40, 11), wired);
-  const auto wired_round = guarded.run_until_converged(400);
-
-  EXPECT_EQ(base_round, wired_round);
-  EXPECT_EQ(parents_of(baseline.overlay()), parents_of(guarded.overlay()));
-  EXPECT_EQ(guarded.byzantine_oracle(), nullptr);
-}
-
-// --- defense ladder end to end ----------------------------------------
-
-TEST(ByzantineEngineTest, DefenseLadderQuarantinesDelayLiars) {
-  ByzantineSpec spec;
-  spec.delay_liar_fraction = 0.2;
-  AsyncConfig config;
-  config.seed = 5;
-  config.adversary = std::make_shared<AdversaryBook>(spec, 61);
-  config.defense.enabled = true;
-  AsyncEngine engine(workload(60, 5), config);
-  engine.run_for(300.0);
-
-  ASSERT_NE(engine.byzantine_oracle(), nullptr);
-  const SuspicionBook& suspicion = engine.suspicion();
-  EXPECT_GT(suspicion.quarantines(), 0u);
-  // The ladder is mostly precise: the barred set is dominated by actual
-  // delay-liars. Some honest collateral is expected — an honest node
-  // attached under a liar honestly relays the understated chain
-  // downstream, so its own children's delay verification blames it.
-  const auto barred = suspicion.barred_nodes();
-  ASSERT_FALSE(barred.empty());
-  std::size_t barred_liars = 0;
-  for (NodeId id : barred)
-    if (config.adversary->role(id) == AdversaryClass::kDelayLiar)
-      ++barred_liars;
-  EXPECT_GT(barred_liars, 0u);
-  EXPECT_GE(barred_liars * 2, barred.size());  // liars are the majority
-}
-
-TEST(ByzantineEngineTest, UndefendedLiarsDegradeTheOverlay) {
-  ByzantineSpec spec;
-  spec.delay_liar_fraction = 0.2;
-  AsyncConfig config;
-  config.seed = 5;
-  config.adversary = std::make_shared<AdversaryBook>(spec, 61);
-  config.defense.enabled = false;
-  AsyncEngine engine(workload(60, 5), config);
-  const double fraction = engine.run_for(300.0);
-  // With a fifth of the population understating DelayAt and no defense,
-  // some victims end the run violated or orphaned.
-  EXPECT_LT(fraction, 1.0);
-  EXPECT_EQ(engine.suspicion().reports(), 0u);  // ladder never engaged
-  EXPECT_EQ(engine.quarantine_detaches(), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
-// Engine-level chaos tests: under a FaultPlan with message loss, a
-// population partition, and an Oracle outage, both construction
-// algorithms must reconverge (zero orphans, zero latency-constraint
-// violations) once the last fault window closes — and with an empty
-// plan the fault layer must be invisible (byte-identical runs).
+// Async-engine chaos tests: latency spikes with a stale Oracle, and the
+// recovery recorder's per-window damage accounting. The cases both
+// schedulers must pass — reconvergence after the acceptance plan (zero
+// orphans, zero latency-constraint violations once the last fault
+// window closes), crash and partition recovery, and an empty plan being
+// invisible (byte-identical runs) — live in test_conformance.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "core/async_engine.hpp"
-#include "core/engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "metrics/recovery.hpp"
 #include "workload/constraints.hpp"
@@ -47,177 +47,6 @@ void expect_fully_healthy(const Overlay& overlay) {
         << "constraint violation at " << id;
   }
   overlay.audit();
-}
-
-TEST(ChaosRecoveryTest, AsyncEnginesReconvergeAfterAcceptancePlan) {
-  for (auto algorithm : {AlgorithmKind::kGreedy, AlgorithmKind::kHybrid}) {
-    AsyncConfig config;
-    config.algorithm = algorithm;
-    config.seed = 33;
-    config.faults = std::make_shared<FaultInjector>(acceptance_plan(), 9);
-    AsyncEngine engine(workload(60, 13), config);
-    RecoveryRecorder recorder(engine.overlay(), acceptance_plan());
-    engine.set_sampler(1.0, [&](SimTime t) { recorder.sample(t); });
-    engine.run_for(600.0);
-    expect_fully_healthy(engine.overlay());
-    // The recorder agrees, and pins down when recovery happened.
-    EXPECT_TRUE(recorder.healthy_at_end()) << to_string(algorithm);
-    const double ttr = recorder.final_time_to_reconverge();
-    EXPECT_GE(ttr, 0.0) << to_string(algorithm);
-    EXPECT_LE(ttr, 390.0) << to_string(algorithm);
-    // The plan actually did damage (the windows were not no-ops).
-    const auto& stats = engine.faults()->stats();
-    EXPECT_GT(stats.messages_dropped, 0u) << to_string(algorithm);
-    EXPECT_GT(stats.oracle_outage_queries, 0u) << to_string(algorithm);
-  }
-}
-
-TEST(ChaosRecoveryTest, SyncEnginesReconvergeAfterAcceptancePlan) {
-  for (auto algorithm : {AlgorithmKind::kGreedy, AlgorithmKind::kHybrid}) {
-    EngineConfig config;
-    config.algorithm = algorithm;
-    config.seed = 35;
-    config.faults = std::make_shared<FaultInjector>(acceptance_plan(), 11);
-    Engine engine(workload(60, 15), config);
-    RecoveryRecorder recorder(engine.overlay(), acceptance_plan());
-    for (int r = 0; r < 600; ++r) {
-      engine.run_round();
-      recorder.sample(static_cast<double>(engine.round()));
-    }
-    expect_fully_healthy(engine.overlay());
-    EXPECT_TRUE(recorder.healthy_at_end()) << to_string(algorithm);
-    EXPECT_GE(recorder.final_time_to_reconverge(), 0.0);
-  }
-}
-
-TEST(ChaosRecoveryTest, EmptyPlanIsByteIdenticalToNoFaultLayer) {
-  const Population population = workload(50, 21);
-  AsyncConfig plain;
-  plain.seed = 77;
-  AsyncEngine baseline(population, plain);
-  const auto base_time = baseline.run_until_converged(20000.0);
-
-  AsyncConfig with_empty_plan = plain;
-  with_empty_plan.faults = std::make_shared<FaultInjector>(FaultPlan{});
-  AsyncEngine chaos(population, with_empty_plan);
-  const auto chaos_time = chaos.run_until_converged(20000.0);
-
-  ASSERT_TRUE(base_time.has_value());
-  ASSERT_TRUE(chaos_time.has_value());
-  // Identical convergence instant AND identical final structure: the
-  // fault layer consumed no engine randomness and changed no decision.
-  EXPECT_DOUBLE_EQ(*base_time, *chaos_time);
-  for (NodeId id = 1; id < baseline.overlay().node_count(); ++id)
-    EXPECT_EQ(baseline.overlay().parent(id), chaos.overlay().parent(id));
-}
-
-TEST(ChaosRecoveryTest, EmptyPlanIsByteIdenticalForSyncEngine) {
-  const Population population = workload(50, 22);
-  EngineConfig plain;
-  plain.seed = 78;
-  Engine baseline(population, plain);
-  const auto base_round = baseline.run_until_converged(3000);
-
-  EngineConfig with_empty_plan = plain;
-  with_empty_plan.faults = std::make_shared<FaultInjector>(FaultPlan{});
-  Engine chaos(population, with_empty_plan);
-  const auto chaos_round = chaos.run_until_converged(3000);
-
-  ASSERT_TRUE(base_round.has_value());
-  ASSERT_TRUE(chaos_round.has_value());
-  EXPECT_EQ(*base_round, *chaos_round);
-  for (NodeId id = 1; id < baseline.overlay().node_count(); ++id)
-    EXPECT_EQ(baseline.overlay().parent(id), chaos.overlay().parent(id));
-}
-
-TEST(ChaosRecoveryTest, EmptyPlanWithHealthLayerIsByteIdentical) {
-  const Population population = workload(50, 21);
-  AsyncConfig plain;
-  plain.seed = 77;
-  AsyncEngine baseline(population, plain);
-  const auto base_time = baseline.run_until_converged(20000.0);
-
-  // Health layer fully enabled — phi-accrual detection AND the failover
-  // ladder — but an empty plan: no crash ever fires, so the detector
-  // never suspects, the ladder never arms, the epoch book never bumps.
-  // The run must stay byte-identical to the no-fault-layer baseline.
-  AsyncConfig with_health = plain;
-  with_health.faults = std::make_shared<FaultInjector>(FaultPlan{});
-  with_health.health.detection = health::DetectionPolicy::kPhiAccrual;
-  with_health.health.failover = health::FailoverPolicy::kLadder;
-  AsyncEngine healthy(population, with_health);
-  const auto healthy_time = healthy.run_until_converged(20000.0);
-
-  ASSERT_TRUE(base_time.has_value());
-  ASSERT_TRUE(healthy_time.has_value());
-  EXPECT_DOUBLE_EQ(*base_time, *healthy_time);
-  for (NodeId id = 1; id < baseline.overlay().node_count(); ++id)
-    EXPECT_EQ(baseline.overlay().parent(id), healthy.overlay().parent(id));
-  // And the health layer itself stayed inert.
-  EXPECT_EQ(healthy.epochs().bumps(), 0u);
-  EXPECT_EQ(healthy.epochs().fences(), 0u);
-  EXPECT_EQ(healthy.core().failover_attaches(), 0u);
-  EXPECT_EQ(healthy.protocol().counters().stale_epoch_rejections, 0u);
-}
-
-TEST(ChaosRecoveryTest, EmptyPlanWithHealthLayerIsByteIdenticalSync) {
-  const Population population = workload(50, 22);
-  EngineConfig plain;
-  plain.seed = 78;
-  Engine baseline(population, plain);
-  const auto base_round = baseline.run_until_converged(3000);
-
-  EngineConfig with_health = plain;
-  with_health.faults = std::make_shared<FaultInjector>(FaultPlan{});
-  with_health.health.detection = health::DetectionPolicy::kPhiAccrual;
-  with_health.health.failover = health::FailoverPolicy::kLadder;
-  Engine healthy(population, with_health);
-  const auto healthy_round = healthy.run_until_converged(3000);
-
-  ASSERT_TRUE(base_round.has_value());
-  ASSERT_TRUE(healthy_round.has_value());
-  EXPECT_EQ(*base_round, *healthy_round);
-  for (NodeId id = 1; id < baseline.overlay().node_count(); ++id)
-    EXPECT_EQ(baseline.overlay().parent(id), healthy.overlay().parent(id));
-  EXPECT_EQ(healthy.epochs().bumps(), 0u);
-  EXPECT_EQ(healthy.epochs().fences(), 0u);
-  EXPECT_EQ(healthy.core().failover_attaches(), 0u);
-}
-
-TEST(ChaosRecoveryTest, CrashesOrphanSubtreesAndHeal) {
-  AsyncConfig config;
-  config.seed = 41;
-  FaultPlan plan;
-  plan.add(FaultPlan::crashes(20.0, 60.0, /*probability=*/0.05,
-                              /*downtime=*/8.0));
-  config.faults = std::make_shared<FaultInjector>(plan, 17);
-  AsyncEngine engine(workload(60, 19), config);
-  engine.run_for(400.0);
-  EXPECT_GT(engine.faults()->stats().crashes, 0u);
-  // Everyone is back online and satisfied well after the crash window.
-  EXPECT_EQ(engine.overlay().online_count(),
-            engine.overlay().consumer_count());
-  expect_fully_healthy(engine.overlay());
-}
-
-TEST(ChaosRecoveryTest, PartitionedChildrenDetectDeadParents) {
-  // A long partition: attached nodes on the isolated side lose their
-  // parents (or their parents' side) and must re-orphan via missed
-  // polls, then rejoin the majority-side tree after the window.
-  AsyncConfig config;
-  config.seed = 43;
-  FaultPlan plan;
-  plan.add(FaultPlan::partition(50.0, 120.0, 0.25));
-  config.faults = std::make_shared<FaultInjector>(plan, 23);
-  AsyncEngine engine(workload(60, 23), config);
-  std::uint64_t parent_losses = 0;
-  engine.set_trace([&](const TraceEvent& event) {
-    if (event.type == TraceEventType::kParentLost) ++parent_losses;
-  });
-  engine.run_for(500.0);
-  EXPECT_GT(engine.faults()->stats().partition_blocks, 0u);
-  EXPECT_GT(parent_losses, 0u);
-  expect_fully_healthy(engine.overlay());
 }
 
 TEST(ChaosRecoveryTest, LatencySpikesAndStaleOracleStillConverge) {

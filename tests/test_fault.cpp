@@ -1,17 +1,16 @@
 // Unit tests for the chaos layer: FaultPlan window algebra, the
 // FaultInjector's message/partition/crash decisions, the Network fault
 // filter (drop / latency spike / duplicate), the FaultyOracle decorator
-// (outage + stale views), and the ConstructionCore failure paths
-// (lost interactions, lost source contacts, the partner-cache fallback
-// during Oracle outages).
+// (outage + stale views), and the NodeRuntime failure paths (lost
+// interactions, lost source contacts, the partner-cache fallback during
+// Oracle outages), driven through fault plans.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "core/async_engine.hpp"
-#include "core/construction_core.hpp"
-#include "core/greedy.hpp"
+#include "core/node_runtime.hpp"
 #include "core/validator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -293,91 +292,110 @@ class FixedOracle final : public Oracle {
   NodeId answer_;
 };
 
-TEST(ConstructionCoreFaultTest, LostInteractionCountsTowardTimeout) {
-  Overlay overlay(small_population());
-  GreedyProtocol protocol;
-  FixedOracle oracle(2);
-  ConstructionCore core(overlay, protocol, oracle, /*timeout_limit=*/3);
+/// A greedy runtime over small_population() under `plan` whose Oracle is
+/// a FixedOracle answering node 2, recording every trace event.
+struct FaultHarness {
+  explicit FaultHarness(int timeout_limit, const FaultPlan& plan = {})
+      : config(make_config(plan)),
+        runtime(small_population(), config, timeout_limit) {
+    auto fixed = std::make_unique<FixedOracle>(2);
+    oracle = fixed.get();
+    runtime.set_oracle(std::move(fixed));
+    runtime.trace_bus().subscribe(
+        [this](const TraceEvent& e) { events.push_back(e); });
+  }
+
+  static RuntimeConfig make_config(const FaultPlan& plan) {
+    RuntimeConfig config;
+    config.algorithm = AlgorithmKind::kGreedy;
+    config.faults = std::make_shared<FaultInjector>(plan);
+    return config;
+  }
+
+  RuntimeConfig config;
+  NodeRuntime runtime;
+  FixedOracle* oracle = nullptr;  ///< owned by the runtime's Oracle stack
   std::vector<TraceEvent> events;
-  core.set_trace([&](const TraceEvent& e) { events.push_back(e); });
-  core.set_delivery_probe([](NodeId, NodeId) { return false; });
+};
+
+TEST(NodeRuntimeFaultTest, LostInteractionCountsTowardTimeout) {
+  // Every message sent in [0, 4) is lost; the transport heals at t = 4.
+  FaultHarness h(/*timeout_limit=*/3,
+                 FaultPlan{}.add(FaultPlan::drop(0.0, 4.0, 1.0)));
+  const Overlay& overlay = h.runtime.overlay();
   Rng rng(3);
 
-  const StepOutcome outcome = core.orphan_step(1, rng, 0);
+  const StepOutcome outcome = h.runtime.orphan_step(1, rng);
   EXPECT_EQ(outcome.partner, 2u);
   EXPECT_FALSE(outcome.delivered);
   EXPECT_FALSE(outcome.attached);
   EXPECT_FALSE(overlay.has_parent(1));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].type, TraceEventType::kInteractionFailed);
+  ASSERT_EQ(h.events.size(), 1u);
+  EXPECT_EQ(h.events[0].type, TraceEventType::kInteractionFailed);
 
   // Three lost interactions exhaust the timeout; the 4th step goes for
   // the source — whose contact is also lost, so the referral persists.
-  core.orphan_step(1, rng, 1);
-  core.orphan_step(1, rng, 2);
-  const StepOutcome source_try = core.orphan_step(1, rng, 3);
+  h.runtime.advance_to(1.0);
+  h.runtime.orphan_step(1, rng);
+  h.runtime.advance_to(2.0);
+  h.runtime.orphan_step(1, rng);
+  h.runtime.advance_to(3.0);
+  const StepOutcome source_try = h.runtime.orphan_step(1, rng);
   EXPECT_EQ(source_try.partner, kSourceId);
   EXPECT_FALSE(source_try.delivered);
-  EXPECT_EQ(events.back().type, TraceEventType::kSourceContactFailed);
+  EXPECT_EQ(h.events.back().type, TraceEventType::kSourceContactFailed);
 
   // Transport heals: the pending source referral fires immediately.
-  core.set_delivery_probe(nullptr);
-  const StepOutcome healed = core.orphan_step(1, rng, 4);
+  h.runtime.advance_to(4.0);
+  const StepOutcome healed = h.runtime.orphan_step(1, rng);
   EXPECT_EQ(healed.partner, kSourceId);
   EXPECT_TRUE(healed.delivered);
   EXPECT_TRUE(healed.attached);
   EXPECT_EQ(overlay.parent(1), kSourceId);
 }
 
-TEST(ConstructionCoreFaultTest, OfflinePartnerFromStaleViewFailsCleanly) {
-  Overlay overlay(small_population());
-  GreedyProtocol protocol;
-  FixedOracle oracle(2);
-  ConstructionCore core(overlay, protocol, oracle, 10);
+TEST(NodeRuntimeFaultTest, OfflinePartnerFromStaleViewFailsCleanly) {
+  FaultHarness h(10);
   Rng rng(3);
-  overlay.set_offline(2);  // the oracle (stale) still returns node 2
-  const StepOutcome outcome = core.orphan_step(1, rng, 0);
+  h.runtime.overlay().set_offline(2);  // the oracle (stale) still returns 2
+  const StepOutcome outcome = h.runtime.orphan_step(1, rng);
   EXPECT_EQ(outcome.partner, 2u);
   EXPECT_FALSE(outcome.delivered);
-  EXPECT_FALSE(overlay.has_parent(1));
+  EXPECT_FALSE(h.runtime.overlay().has_parent(1));
 }
 
-TEST(ConstructionCoreFaultTest, PartnerCacheBridgesOracleOutage) {
-  Overlay overlay(small_population());
-  GreedyProtocol protocol;
-  FixedOracle oracle(2);
-  ConstructionCore core(overlay, protocol, oracle, 10);
+TEST(NodeRuntimeFaultTest, PartnerCacheBridgesOracleOutage) {
+  // The Oracle is dark during [1, 2).
+  FaultHarness h(10, FaultPlan{}.add(FaultPlan::oracle_outage(1.0, 2.0)));
+  Overlay& overlay = h.runtime.overlay();
   Rng rng(3);
-  bool outage = false;
-  core.set_oracle_outage_probe([&outage] { return outage; });
 
   // Node 3 interacts with node 2 once: cache primed (3 may well attach
   // under 2 — irrelevant here, the outage strikes after a detach).
-  core.orphan_step(3, rng, 0);
-  ASSERT_FALSE(core.recent_partners(3).empty());
-  EXPECT_EQ(core.recent_partners(3)[0], 2u);
+  h.runtime.orphan_step(3, rng);
+  ASSERT_FALSE(h.runtime.recent_partners(3).empty());
+  EXPECT_EQ(h.runtime.recent_partners(3)[0], 2u);
 
   // Node 3 is orphaned again while the Oracle is dark. Without the
   // cache it would starve; with it, it re-interacts with node 2.
   if (overlay.has_parent(3)) overlay.detach(3);
-  oracle.answer_ = kNoNode;
-  outage = true;
-  std::vector<TraceEvent> events;
-  core.set_trace([&](const TraceEvent& e) { events.push_back(e); });
-  const StepOutcome outcome = core.orphan_step(3, rng, 1);
+  h.oracle->answer_ = kNoNode;
+  h.runtime.advance_to(1.0);
+  h.events.clear();
+  const StepOutcome outcome = h.runtime.orphan_step(3, rng);
   EXPECT_EQ(outcome.partner, 2u);
   EXPECT_TRUE(outcome.delivered);
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, TraceEventType::kInteraction);
+  ASSERT_FALSE(h.events.empty());
+  EXPECT_EQ(h.events.back().type, TraceEventType::kInteraction);
 
   // Outside outage windows an empty Oracle starves the node exactly as
   // before (the paper's semantics are preserved).
-  outage = false;
+  h.runtime.advance_to(2.0);
   if (overlay.has_parent(3)) overlay.detach(3);
-  events.clear();
-  core.orphan_step(3, rng, 2);
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, TraceEventType::kOracleEmpty);
+  h.events.clear();
+  h.runtime.orphan_step(3, rng);
+  ASSERT_FALSE(h.events.empty());
+  EXPECT_EQ(h.events.back().type, TraceEventType::kOracleEmpty);
 }
 
 // --- seeded end-to-end regressions ------------------------------------
@@ -468,16 +486,13 @@ TEST(FaultRegressionTest, CrashStormKeepsEpochAuditClean) {
   EXPECT_TRUE(audit.ok()) << audit.to_string();
 }
 
-TEST(ConstructionCoreFaultTest, ResetClearsPartnerCache) {
-  Overlay overlay(small_population());
-  GreedyProtocol protocol;
-  FixedOracle oracle(2);
-  ConstructionCore core(overlay, protocol, oracle, 10);
+TEST(NodeRuntimeFaultTest, ResetClearsPartnerCache) {
+  FaultHarness h(10);
   Rng rng(3);
-  core.orphan_step(3, rng, 0);
-  ASSERT_FALSE(core.recent_partners(3).empty());
-  core.reset_node(3);
-  EXPECT_TRUE(core.recent_partners(3).empty());
+  h.runtime.orphan_step(3, rng);
+  ASSERT_FALSE(h.runtime.recent_partners(3).empty());
+  h.runtime.leave(3);
+  EXPECT_TRUE(h.runtime.recent_partners(3).empty());
 }
 
 }  // namespace

@@ -1,17 +1,15 @@
 // Health-layer tests: the phi-accrual failure detector, the epoch-fenced
-// lease book, the validator's epoch audit, the failover ladder, and the
-// failover metrics recorder — plus the acceptance "epoch storm": a run
-// with heavy crash/rejoin churn during which audit_epochs must stay
-// clean at every sample (zero stale-epoch attachments, zero cycles).
+// lease book, the validator's epoch audit, and the failover metrics
+// recorder. The engine-level cases — the acceptance "epoch storm" (heavy
+// crash/rejoin churn during which audit_epochs must stay clean at every
+// sample) and the failover ladder end to end — run on both schedulers
+// in test_conformance.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "core/async_engine.hpp"
-#include "core/engine.hpp"
 #include "core/validator.hpp"
-#include "fault/fault_injector.hpp"
 #include "health/failure_detector.hpp"
 #include "health/health.hpp"
 #include "health/lease.hpp"
@@ -20,16 +18,6 @@
 
 namespace lagover {
 namespace {
-
-using fault::FaultInjector;
-using fault::FaultPlan;
-
-Population workload(std::size_t peers, std::uint64_t seed) {
-  WorkloadParams params;
-  params.peers = peers;
-  params.seed = seed;
-  return generate_workload(WorkloadKind::kBiUnCorr, params);
-}
 
 // --- phi-accrual detector --------------------------------------------
 
@@ -140,100 +128,6 @@ TEST(EpochBookTest, AuditFlagsStaleEdges) {
   ASSERT_EQ(audit.stale_edges.size(), 1u);
   EXPECT_EQ(audit.stale_edges[0], 3u);
   EXPECT_TRUE(audit.acyclic);
-}
-
-// --- epoch storm (acceptance criterion) ------------------------------
-
-TEST(HealthTest, EpochStormKeepsAttachmentsFencedAsync) {
-  // Heavy crash/rejoin churn. At EVERY sample the overlay must hold
-  // zero stale-epoch attachments and zero cycles — the fence's job.
-  for (auto detection : {health::DetectionPolicy::kFixedMisses,
-                         health::DetectionPolicy::kPhiAccrual}) {
-    AsyncConfig config;
-    config.seed = 91;
-    config.health.detection = detection;
-    config.health.failover = health::FailoverPolicy::kLadder;
-    FaultPlan plan;
-    plan.add(FaultPlan::crashes(10.0, 80.0, 0.05, 4.0))
-        .add(FaultPlan::drop(50.0, 120.0, 0.2))
-        .add(FaultPlan::crashes(130.0, 200.0, 0.08, 6.0));
-    config.faults = std::make_shared<FaultInjector>(plan, 37);
-    AsyncEngine engine(workload(60, 37), config);
-    std::size_t samples = 0;
-    engine.set_sampler(1.0, [&](SimTime) {
-      ++samples;
-      const EpochAudit audit = audit_epochs(engine.overlay(), engine.epochs());
-      EXPECT_TRUE(audit.stale_edges.empty())
-          << audit.to_string() << " at sample " << samples;
-      EXPECT_TRUE(audit.acyclic);
-      engine.overlay().audit();
-    });
-    engine.run_for(400.0);
-    EXPECT_GT(samples, 0u);
-    EXPECT_GT(engine.faults()->stats().crashes, 0u);
-    EXPECT_GT(engine.epochs().bumps(), 0u);
-    // Final state is clean too.
-    EXPECT_TRUE(audit_epochs(engine.overlay(), engine.epochs()).ok());
-  }
-}
-
-TEST(HealthTest, EpochStormKeepsAttachmentsFencedSync) {
-  EngineConfig config;
-  config.seed = 93;
-  config.health.detection = health::DetectionPolicy::kPhiAccrual;
-  config.health.failover = health::FailoverPolicy::kLadder;
-  FaultPlan plan;
-  plan.add(FaultPlan::crashes(10.0, 60.0, 0.05, 4.0))
-      .add(FaultPlan::crashes(80.0, 140.0, 0.08, 6.0));
-  config.faults = std::make_shared<FaultInjector>(plan, 41);
-  Engine engine(workload(60, 41), config);
-  for (int round = 0; round < 300; ++round) {
-    engine.run_round();
-    const EpochAudit audit = audit_epochs(engine.overlay(), engine.epochs());
-    EXPECT_TRUE(audit.stale_edges.empty())
-        << audit.to_string() << " at round " << round;
-    EXPECT_TRUE(audit.acyclic);
-  }
-  EXPECT_GT(engine.epochs().bumps(), 0u);
-  engine.overlay().audit();
-}
-
-// --- failover ladder --------------------------------------------------
-
-TEST(HealthTest, LadderRecoversOrphansWithoutOracle) {
-  AsyncConfig config;
-  config.seed = 95;
-  config.health.detection = health::DetectionPolicy::kPhiAccrual;
-  config.health.failover = health::FailoverPolicy::kLadder;
-  FaultPlan plan;
-  plan.add(FaultPlan::crashes(20.0, 120.0, 0.04, 5.0));
-  config.faults = std::make_shared<FaultInjector>(plan, 43);
-  AsyncEngine engine(workload(80, 43), config);
-  std::uint64_t failover_attaches = 0;
-  engine.set_trace([&](const TraceEvent& event) {
-    if (event.type == TraceEventType::kFailoverAttach) ++failover_attaches;
-  });
-  engine.run_for(400.0);
-  EXPECT_GT(engine.faults()->stats().crashes, 0u);
-  // The ladder actually fired, and its count matches the core's.
-  EXPECT_GT(failover_attaches, 0u);
-  EXPECT_EQ(failover_attaches, engine.core().failover_attaches());
-  // Ladder attaches never violated structure (audited continuously by
-  // Overlay::attach preconditions; spot-check the end state).
-  engine.overlay().audit();
-  EXPECT_TRUE(audit_epochs(engine.overlay(), engine.epochs()).ok());
-}
-
-TEST(HealthTest, DefaultPoliciesKeepLadderIdle) {
-  AsyncConfig config;  // defaults: kFixedMisses + kOracleRejoin
-  config.seed = 97;
-  FaultPlan plan;
-  plan.add(FaultPlan::crashes(20.0, 80.0, 0.04, 5.0));
-  config.faults = std::make_shared<FaultInjector>(plan, 47);
-  AsyncEngine engine(workload(60, 47), config);
-  engine.run_for(300.0);
-  EXPECT_GT(engine.faults()->stats().crashes, 0u);
-  EXPECT_EQ(engine.core().failover_attaches(), 0u);
 }
 
 // --- failover metrics recorder ---------------------------------------
