@@ -11,7 +11,12 @@ In each CMake build tree it runs:
     plus --bench-json;
   * bench_scenario on each examples/scenario_*.json;
   * bench_chaos (async engine) and bench_fig4_churn (sync engine) with
-    --events-out and --health-out.
+    --events-out and --health-out;
+  * bench_reliability (loss, anti-entropy repair, duplicates),
+    bench_push_source (pull and push source) and bench_scenario on each
+    examples/scenario_*.json (shed drops in the overload scenario) with
+    --spans-out, so the per-item feed span streams (kinds, hops,
+    causes) are compared too.
 
 It then compares the SHA-256 digest of every output file between the
 two trees and names each file that differs or exists on one side only.
@@ -39,6 +44,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKIPPED = {"bench_micro", "bench_scenario"}
 STREAMED = ("bench_chaos", "bench_fig4_churn")
+SPANNED = ("bench_reliability", "bench_push_source")
 RUN_TIMEOUT_S = 900
 JOBS = min(4, os.cpu_count() or 1)  # benches run in parallel per tree
 
@@ -67,6 +73,9 @@ def runs(names):
             plan.append(("bench_scenario",
                          ["--scenario", path,
                           "--bench-json", f"bench_{stem}.bench.json"]))
+            plan.append(("bench_scenario",
+                         ["--scenario", path, "--bench-json", "-",
+                          "--spans-out", f"bench_{stem}.spans.jsonl"]))
     # Streaming enables telemetry, whose profile block in the bench JSON
     # carries wall-clock timings: compare the streams only.
     for name in STREAMED:
@@ -74,6 +83,10 @@ def runs(names):
             plan.append((name, ["--bench-json", "-",
                                 "--events-out", f"{name}.events.jsonl",
                                 "--health-out", f"{name}.health.jsonl"]))
+    for name in SPANNED:
+        if name in names:
+            plan.append((name, ["--bench-json", "-",
+                                "--spans-out", f"{name}.spans.jsonl"]))
     return plan
 
 

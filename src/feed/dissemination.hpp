@@ -4,7 +4,8 @@
 // `hop_delay`. With T = hop_delay = 1 a node at depth d observes
 // staleness at most d — the delay model the construction algorithms
 // optimize against — so a satisfied overlay should show zero
-// staleness-budget violations here (verified by tests).
+// staleness-budget violations here (verified by tests). The lossy model
+// (reliability.hpp) runs the same event loop with loss and repair on.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // RSS-style feed model: a pull-only source (paper Section 2.1.2 — "the
 // information source can support only pulls from clients, as is
 // currently for RSS") publishing small items on a schedule, plus the
-// staleness bookkeeping shared by the dissemination simulations.
+// per-consumer staleness bookkeeping of the all-poll baseline.
 #pragma once
 
 #include <cstdint>

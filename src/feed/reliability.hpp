@@ -1,7 +1,9 @@
 // Lossy dissemination and recovery. The base dissemination model
-// assumes perfect push delivery; real overlay links drop messages. This
-// module adds per-push loss, duplicate injection, and two repair
-// strategies over the feed's sequence numbers:
+// assumes perfect push delivery; real overlay links drop messages. The
+// lossy model adds per-push loss, duplicate injection, free-riders and
+// two repair strategies over the feed's sequence numbers. It runs the
+// one event loop in dissemination.cpp, of which the ideal model is the
+// zero-loss, no-repair case:
 //
 //   * kAntiEntropy — blanket repair: every recovery tick the child asks
 //     its parent for *everything* the parent holds that it lacks. One
@@ -84,12 +86,16 @@ struct LossyReport {
   /// items stay recoverable through the repair loop — capacity overload
   /// degrades freshness, it does not permanently lose items.
   std::uint64_t shed_pushes = 0;
+  /// Pushes refused by a child's full pending queue
+  /// (base.capacity.queue_limit); recoverable like shed pushes.
+  std::uint64_t queue_drops = 0;
 };
 
 /// Runs lossy dissemination over a (typically converged) overlay.
 /// Items published in the final max-staleness window are excluded from
 /// the expected-delivery accounting (they may legitimately still be in
-/// flight at the horizon).
+/// flight at the horizon). The source must be pull-only
+/// (`base.push_source` off): repair never serves its direct children.
 LossyReport run_lossy_dissemination(const Overlay& overlay,
                                     const LossyConfig& config,
                                     SimTime duration);

@@ -194,20 +194,31 @@ TEST(LossyCapacityTest, ShedPushesStayRecoverable) {
   Engine engine(population, engine_config);
   ASSERT_TRUE(engine.run_until_converged(600).has_value());
 
-  LossyConfig config;
-  config.base.seed = 23;
-  config.base.capacity.relay_budget = 1;
-  config.base.capacity.shedding = true;
-  config.push_loss = 0.1;
-  config.enable_recovery = true;
-  config.repair = feed::RepairMode::kNack;
-  const LossyReport report =
-      run_lossy_dissemination(engine.overlay(), config, 60.0);
-  EXPECT_GT(report.shed_pushes, 0u);
-  EXPECT_GT(report.recovered_deliveries, 0u);
-  // Dedup invariant survives the capacity layer.
-  EXPECT_EQ(report.applications,
-            report.push_deliveries + report.recovered_deliveries);
+  LossyConfig shed;
+  shed.base.seed = 23;
+  shed.base.capacity.relay_budget = 1;
+  shed.base.capacity.shedding = true;
+  shed.push_loss = 0.1;
+  shed.enable_recovery = true;
+  shed.repair = feed::RepairMode::kNack;
+  // A binding queue bound: each poll hands a relay ~4 items, which it
+  // forwards at once into a one-slot pending queue per child.
+  LossyConfig queue = shed;
+  queue.base.capacity = CapacityConfig{};
+  queue.base.capacity.queue_limit = 1;
+  queue.base.source.publish_period = 0.25;
+  for (const LossyConfig& config : {shed, queue}) {
+    const LossyReport report =
+        run_lossy_dissemination(engine.overlay(), config, 60.0);
+    // Each config binds one limit, and only that limit refuses pushes.
+    EXPECT_EQ(report.shed_pushes > 0, config.base.capacity.relay_budget != 0);
+    EXPECT_EQ(report.queue_drops > 0, config.base.capacity.queue_limit != 0);
+    EXPECT_GT(report.recovered_deliveries, 0u);
+    EXPECT_DOUBLE_EQ(report.delivery_ratio, 1.0);
+    // Dedup invariant survives the capacity layer.
+    EXPECT_EQ(report.applications,
+              report.push_deliveries + report.recovered_deliveries);
+  }
 }
 
 }  // namespace

@@ -166,6 +166,16 @@ TEST(ReliabilityTest, NackUnderDuplicatesStaysExactlyOnce) {
   EXPECT_GT(report.nacked_items, 0u);
 }
 
+TEST(ReliabilityDeathTest, RejectsPushSource) {
+  // The repair loop never serves the source's direct children, so a
+  // lossy source push could never be recovered.
+  const Overlay overlay = converged_overlay(20, 3);
+  feed::LossyConfig config;
+  config.base.push_source = true;
+  EXPECT_DEATH(feed::run_lossy_dissemination(overlay, config, 10.0),
+               "precondition");
+}
+
 TEST(ReliabilityTest, DeterministicPerSeed) {
   const Overlay overlay = converged_overlay(40, 7);
   feed::LossyConfig config;
