@@ -156,7 +156,7 @@ void add_cell_row(Table& table, const std::string& mix, bool defended,
 }
 
 int run(int argc, char** argv) {
-  auto options = bench::BenchOptions::parse(argc, argv);
+  auto options = bench::BenchOptions::parse(argc, argv, {{"oracle", "NAME"}});
   const Flags flags(argc, argv);
   OracleKind oracle = OracleKind::kRandomDelay;
   const std::string oracle_name = flags.get_string("oracle", "random_delay");

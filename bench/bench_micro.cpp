@@ -11,6 +11,9 @@
 // headline scalar.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "bench/bench_util.hpp"
 #include "core/engine.hpp"
 #include "core/optimizer.hpp"
@@ -191,8 +194,15 @@ class CapturingReporter final : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   // google-benchmark consumes its --benchmark_* flags; the shared bench
-  // flags (--bench-json, --telemetry, ...) are whatever remains.
+  // flags (--bench-json, --telemetry, ...) are whatever remains. Any
+  // --benchmark_* value the library rejected (older releases take no
+  // "0.05s" durations) it has already reported, so drop those too.
   benchmark::Initialize(&argc, argv);
+  const auto benchmark_flag = [](const char* arg) {
+    return std::strncmp(arg, "--benchmark_", 12) == 0;
+  };
+  char** const end = std::remove_if(argv + 1, argv + argc, benchmark_flag);
+  argc = static_cast<int>(end - argv);
   const auto options = lagover::bench::BenchOptions::parse(argc, argv);
   lagover::bench::BenchJson bench_json("bench_micro", options);
   lagover::bench::TelemetryExport telemetry_export(options);

@@ -20,7 +20,7 @@ namespace lagover {
 namespace {
 
 int run(int argc, char** argv) {
-  auto options = bench::BenchOptions::parse(argc, argv);
+  auto options = bench::BenchOptions::parse(argc, argv, {{"scenario", "FILE"}});
   const Flags flags(argc, argv);
   const std::string path = flags.get_string("scenario", "");
   if (path.empty()) {

@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/error.hpp"
 #include "common/flags.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
@@ -21,6 +25,34 @@
 #include "workload/constraints.hpp"
 
 namespace lagover::bench {
+
+/// One flag a bench accepts: its --name and the placeholder the usage
+/// line shows for its value ("" for a bare switch).
+struct FlagSpec {
+  const char* name;
+  const char* arg;
+};
+
+/// The flags BenchOptions::parse reads (documented on BenchOptions).
+inline constexpr FlagSpec kBenchFlags[] = {
+    {"peers", "N"},
+    {"trials", "N"},
+    {"max-rounds", "N"},
+    {"seed", "N"},
+    {"csv", "PREFIX"},
+    {"json", "PREFIX"},
+    {"bench-json", "PATH"},
+    {"telemetry", ""},
+    {"trace-out", "PATH"},
+    {"events-out", "PATH"},
+    {"spans-out", "PATH"},
+    {"postmortem-out", "PATH"},
+    {"perf", ""},
+    {"health", ""},
+    {"health-out", "PATH"},
+    {"stability-rounds", "N"},
+    {"log-level", "L"},
+};
 
 /// Flags every bench accepts:
 ///   --peers N         population size (default 120, the paper's)
@@ -49,8 +81,8 @@ namespace lagover::bench {
 ///                     RSS, allocation counts, message complexity,
 ///                     per-phase splits; implies --telemetry
 ///   --health          activate the overlay health observatory
-///                     (telemetry/health.hpp): incremental tree-quality
-///                     aggregates + convergence tracking, embedded as a
+///                     (telemetry/health.hpp): per-round tree-quality
+///                     samples + convergence tracking, embedded as a
 ///                     "health" block in the bench JSON; implies
 ///                     --telemetry
 ///   --health-out PATH stream per-round health samples as
@@ -58,6 +90,9 @@ namespace lagover::bench {
 ///   --stability-rounds N  consecutive converged samples required to
 ///                     latch a run's convergence round (default 1)
 ///   --log-level L     logger threshold: trace|debug|info|warn|error|off
+///
+/// A malformed number or a --name the bench does not know prints the
+/// usage line and exits with status 2.
 struct BenchOptions {
   std::size_t peers = 120;
   int trials = 5;
@@ -79,8 +114,34 @@ struct BenchOptions {
   /// bundles so a dump carries its own repro command line.
   std::string argv_flags;
 
-  static BenchOptions parse(int argc, char** argv) {
+  /// Parses the shared flags. `extra` names the bench's own flags,
+  /// which it reads itself; any other --name is a usage error.
+  static BenchOptions parse(int argc, char** argv,
+                            std::initializer_list<FlagSpec> extra = {}) {
     const Flags flags(argc, argv);
+    std::vector<std::string> known;
+    std::string usage = "usage: ";
+    usage += argc > 0 ? argv[0] : "bench";
+    const auto accept = [&](const FlagSpec& spec) {
+      known.emplace_back(spec.name);
+      usage += std::string(" [--") + spec.name +
+               (*spec.arg != '\0' ? std::string(" ") + spec.arg : "") + "]";
+    };
+    for (const FlagSpec& spec : kBenchFlags) accept(spec);
+    for (const FlagSpec& spec : extra) accept(spec);
+    try {
+      const std::vector<std::string> unknown = flags.unknown(known);
+      if (!unknown.empty())
+        throw InvalidArgument("unknown flag --" + unknown.front());
+      return from_flags(flags, argc, argv);
+    } catch (const InvalidArgument& error) {
+      std::cerr << error.what() << '\n' << usage << '\n';
+      std::exit(2);
+    }
+  }
+
+ private:
+  static BenchOptions from_flags(const Flags& flags, int argc, char** argv) {
     BenchOptions options;
     options.peers =
         static_cast<std::size_t>(flags.get_int("peers", 120));
@@ -104,7 +165,7 @@ struct BenchOptions {
         static_cast<int>(flags.get_int("stability-rounds", 1));
     // --perf implies --telemetry: rounds and message complexity are
     // read as deltas of the metrics-registry counters. --health does
-    // too: the observatory rides the telemetry edge-event stream.
+    // too, for the per-subsystem message deltas in its samples.
     options.telemetry = flags.get_bool("telemetry", false) ||
                         options.perf || options.health ||
                         !options.trace_out.empty() ||

@@ -10,7 +10,8 @@ In each CMake build tree it runs:
     google-benchmark timings) and bench_scenario, with default flags
     plus --bench-json;
   * bench_scenario on each examples/scenario_*.json;
-  * bench_chaos (async engine) and bench_fig4_churn (sync engine) with
+  * bench_chaos (async engine), bench_fig4_churn (sync engine) and
+    bench_failover (crash, rejoin and the failover ladder) with
     --events-out and --health-out;
   * bench_reliability (loss, anti-entropy repair, duplicates),
     bench_push_source (pull and push source) and bench_scenario on each
@@ -43,7 +44,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKIPPED = {"bench_micro", "bench_scenario"}
-STREAMED = ("bench_chaos", "bench_fig4_churn")
+STREAMED = ("bench_chaos", "bench_fig4_churn", "bench_failover")
 SPANNED = ("bench_reliability", "bench_push_source")
 RUN_TIMEOUT_S = 900
 JOBS = min(4, os.cpu_count() or 1)  # benches run in parallel per tree

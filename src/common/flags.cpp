@@ -1,5 +1,7 @@
 #include "common/flags.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -35,13 +37,27 @@ std::string Flags::get_string(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Throws the usage error for `--name value` unless strto* consumed all
+/// of a non-empty `value` without overflowing.
+void check_number(const std::string& name, const std::string& value,
+                  const char* end, const char* kind) {
+  if (!value.empty() && *end == '\0' && errno != ERANGE) return;
+  throw InvalidArgument("--" + name + " expects " + kind + ", got '" + value +
+                        "'");
+}
+
+}  // namespace
+
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const std::int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  LAGOVER_EXPECTS(end != nullptr && *end == '\0');
+  check_number(name, it->second, end, "an integer");
   return value;
 }
 
@@ -49,8 +65,9 @@ double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(it->second.c_str(), &end);
-  LAGOVER_EXPECTS(end != nullptr && *end == '\0');
+  check_number(name, it->second, end, "a number");
   return value;
 }
 
@@ -58,6 +75,15 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::vector<std::string> Flags::unknown(
+    const std::vector<std::string>& known) const {
+  std::vector<std::string> out;
+  for (const auto& entry : values_)
+    if (std::find(known.begin(), known.end(), entry.first) == known.end())
+      out.push_back(entry.first);
+  return out;
 }
 
 }  // namespace lagover

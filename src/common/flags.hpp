@@ -19,9 +19,14 @@ class Flags {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  /// Numeric getters throw InvalidArgument (a usage error, naming the
+  /// flag) when the value is empty, malformed or out of range.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+
+  /// The parsed --names that are not in `known`, in sorted order.
+  std::vector<std::string> unknown(const std::vector<std::string>& known) const;
 
   const std::vector<std::string>& positional() const noexcept {
     return positional_;

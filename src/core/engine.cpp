@@ -188,10 +188,7 @@ RoundStats Engine::run_round() {
   stats.online = overlay.online_count();
   stats.satisfied = overlay.satisfied_count();
   stats.satisfied_fraction = overlay.satisfied_fraction();
-  std::size_t orphans = 0;
-  for (NodeId id = 1; id < overlay.node_count(); ++id)
-    if (overlay.online(id) && !overlay.has_parent(id)) ++orphans;
-  stats.orphan_roots = orphans;
+  stats.orphan_roots = overlay.orphan_count();
   TELEM_COUNT("engine.rounds", 1);
   TELEM_GAUGE("engine.online", static_cast<double>(stats.online));
   TELEM_GAUGE("engine.orphan_roots", static_cast<double>(stats.orphan_roots));

@@ -143,29 +143,15 @@ NodeRuntime::NodeRuntime(Population population, RuntimeConfig& config,
     }
     stack_oracle(std::move(byzantine));
   }
-  register_health_run();
+  // No recorder = no detour: default runs stay byte-identical.
+  if (auto* recorder = telemetry::OverlayHealthRecorder::active())
+    health_run_ = recorder->begin_run(overlay_.node_count());
 }
 
 NodeRuntime::~NodeRuntime() {
   if (health_run_ == 0) return;
   if (auto* recorder = telemetry::OverlayHealthRecorder::active())
     recorder->end_run(health_run_);
-}
-
-void NodeRuntime::register_health_run() {
-  auto* recorder = telemetry::OverlayHealthRecorder::active();
-  if (recorder == nullptr) return;
-  // Flatten the constraints: telemetry/ sits below core/ and cannot see
-  // Overlay. The mirror starts from the same everyone-online, everyone-
-  // parentless state the overlay starts from.
-  const std::size_t n = overlay_.node_count();
-  std::vector<int> fanout(n, 0);
-  std::vector<int> latency(n, 0);
-  for (NodeId id = 0; id < n; ++id) {
-    fanout[id] = overlay_.fanout_of(id);
-    latency[id] = overlay_.latency_of(id);
-  }
-  health_run_ = recorder->begin_run(fanout, latency);
 }
 
 void NodeRuntime::stack_oracle(std::unique_ptr<Oracle> base) {
@@ -234,26 +220,82 @@ void NodeRuntime::emit(TraceEventType type, NodeId subject, NodeId partner,
 }
 
 void NodeRuntime::audit(Round label) {
-  InvariantReport report =
+  const InvariantReport report =
       audit_invariants(overlay_, config_.algorithm, &epochs_);
-  if (health_run_ != 0) {
-    // Cross-check the observatory's incremental mirror against this
-    // audit's independent recompute; mismatches ride the same bus (and
-    // the same zero-violation CI gates) as paper-invariant violations.
-    if (auto* recorder = telemetry::OverlayHealthRecorder::active()) {
-      InvariantReport health =
-          crosscheck_health(overlay_, *recorder, health_run_);
-      for (InvariantViolation& violation : health.violations)
-        report.violations.push_back(std::move(violation));
-    }
-  }
   audit_violations_ += publish(report, audit_bus_, label);
 }
 
 void NodeRuntime::sample_health(SimTime t) {
   if (health_run_ == 0) return;
-  if (auto* recorder = telemetry::OverlayHealthRecorder::active())
-    recorder->note_round(health_run_, t);
+  auto* recorder = telemetry::OverlayHealthRecorder::active();
+  if (recorder == nullptr) return;
+  telemetry::HealthSample sample;
+  sample.t = t;
+  sample.online = overlay_.online_count();
+  sample.orphans = overlay_.orphan_count();
+  sample.satisfied = overlay_.satisfied_count();
+  sample.unsatisfied = sample.online - sample.satisfied;
+  sample.converged = sample.unsatisfied == 0;
+  // One pass: fanout use over every online node (the source included),
+  // DelayAt and latency slack over online consumers.
+  std::vector<std::uint64_t> depth_counts;
+  std::int64_t depth_sum = 0;
+  std::int64_t slack_sum = 0;
+  for (NodeId id = 0; id < overlay_.node_count(); ++id) {
+    if (!overlay_.online(id)) continue;
+    const int fanout = overlay_.fanout_of(id);
+    sample.capacity += static_cast<std::uint64_t>(std::max(fanout, 0));
+    if (static_cast<int>(overlay_.children(id).size()) >= fanout)
+      ++sample.saturated;
+    if (id == kSourceId) continue;
+    if (overlay_.has_parent(id)) ++sample.edges;
+    const Delay delay = overlay_.delay_at(id);
+    const std::int64_t slack = overlay_.latency_of(id) - delay;
+    if (static_cast<std::size_t>(delay) >= depth_counts.size())
+      depth_counts.resize(static_cast<std::size_t>(delay) + 1, 0);
+    ++depth_counts[static_cast<std::size_t>(delay)];
+    depth_sum += delay;
+    slack_sum += slack;
+    if (slack < 0) ++sample.violated;
+    // Consumers sit at DelayAt >= 1, so max_depth == 0 means "none yet".
+    if (sample.max_depth == 0 || slack < sample.min_slack)
+      sample.min_slack = slack;
+    if (delay > sample.max_depth) {
+      sample.max_depth = delay;
+      sample.deepest_slack = slack;
+    } else if (delay == sample.max_depth) {
+      sample.deepest_slack = std::min(sample.deepest_slack, slack);
+    }
+  }
+  const std::uint64_t total = sample.online;
+  if (total > 0) {
+    const std::uint64_t r50 = (total + 1) / 2;
+    const std::uint64_t r90 = std::max<std::uint64_t>(1, (total * 9 + 9) / 10);
+    const std::uint64_t r99 =
+        std::max<std::uint64_t>(1, (total * 99 + 99) / 100);
+    std::uint64_t seen = 0;
+    for (std::size_t d = 0; d < depth_counts.size(); ++d) {
+      seen += depth_counts[d];
+      const auto depth = static_cast<std::int64_t>(d);
+      if (sample.depth_p50 == 0 && seen >= r50) sample.depth_p50 = depth;
+      if (sample.depth_p90 == 0 && seen >= r90) sample.depth_p90 = depth;
+      if (sample.depth_p99 == 0 && seen >= r99) sample.depth_p99 = depth;
+    }
+    sample.mean_depth =
+        static_cast<double>(depth_sum) / static_cast<double>(total);
+    sample.mean_slack =
+        static_cast<double>(slack_sum) / static_cast<double>(total);
+  }
+  if (sample.capacity > 0)
+    sample.utilization = static_cast<double>(sample.edges) /
+                         static_cast<double>(sample.capacity);
+  const OverlayCounters& counters = overlay_.counters();
+  sample.attaches = counters.attaches - health_counters_.attaches;
+  sample.detaches = counters.detaches - health_counters_.detaches;
+  sample.offlines = counters.offlines - health_counters_.offlines;
+  sample.onlines = counters.onlines - health_counters_.onlines;
+  health_counters_ = counters;
+  recorder->note_round(health_run_, std::move(sample));
 }
 
 bool NodeRuntime::reaches(NodeId from, NodeId to) {

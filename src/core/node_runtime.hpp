@@ -283,15 +283,17 @@ class LAGOVER_THREAD_HOSTILE NodeRuntime {
   std::uint64_t audit_violations() const noexcept {
     return audit_violations_;
   }
-  /// Audits the paper invariants (and, with a health recorder active,
-  /// cross-checks its incremental mirror) and publishes violations
-  /// labelled `label`. Read-only: draws no RNG, mutates no state.
+  /// Audits the paper invariants, the overlay's index among them, and
+  /// publishes violations labelled `label`. Read-only: draws no RNG,
+  /// mutates no state.
   void audit(Round label);
 
   /// True when a health recorder was active at construction, i.e. the
   /// scheduler should call sample_health() once per round / time unit.
   bool health_observed() const noexcept { return health_run_ != 0; }
-  /// Samples the health observatory's aggregates at time `t`.
+  /// Reads one HealthSample at time `t` off the overlay (churn fields
+  /// count the changes since the previous call) and hands it to the
+  /// health observatory.
   void sample_health(SimTime t);
 
   // --- state --------------------------------------------------------------
@@ -396,9 +398,6 @@ class LAGOVER_THREAD_HOSTILE NodeRuntime {
   bool maintenance_step(NodeId i, std::optional<bool> observed_violated);
   /// Clears i's session state (used when a node leaves or rejoins).
   void reset_node(NodeId id);
-  /// Registers this run with the active OverlayHealthRecorder, if any
-  /// (no recorder = no detour; default runs stay byte-identical).
-  void register_health_run();
 
   /// How many recently seen partners each node remembers as its Oracle
   /// -outage fallback.
@@ -427,6 +426,8 @@ class LAGOVER_THREAD_HOSTILE NodeRuntime {
   std::uint64_t audit_violations_ = 0;
   /// Health-observatory run id (0 = no recorder active at construction).
   std::uint64_t health_run_ = 0;
+  /// The overlay's counters at the previous health sample.
+  OverlayCounters health_counters_;
 
   std::uint64_t maintenance_detaches_ = 0;
   std::uint64_t failover_attaches_ = 0;

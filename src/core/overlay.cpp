@@ -41,29 +41,13 @@ Overlay::Overlay(Population population) : population_(std::move(population)) {
   children_.resize(n);
   online_.assign(n, 1);
   online_count_ = population_.consumers.size();
-}
-
-Overlay::Overlay(const Overlay& other)
-    : population_(other.population_),
-      specs_(other.specs_),
-      parent_(other.parent_),
-      children_(other.children_),
-      online_(other.online_),
-      online_count_(other.online_count_),
-      counters_(other.counters_) {}
-
-Overlay& Overlay::operator=(const Overlay& other) {
-  if (this == &other) return *this;
-  population_ = other.population_;
-  specs_ = other.specs_;
-  parent_ = other.parent_;
-  children_ = other.children_;
-  online_ = other.online_;
-  online_count_ = other.online_count_;
-  counters_ = other.counters_;
-  attach_observer_ = nullptr;
-  detach_observer_ = nullptr;
-  return *this;
+  // Every node starts as its own chain root.
+  root_.resize(n);
+  for (NodeId id = 0; id < n; ++id) root_[id] = id;
+  depth_.assign(n, 0);
+  orphan_count_ = online_count_;
+  // A subtree holds at most n nodes: relabelling never reallocates.
+  walk_.reserve(n);
 }
 
 void Overlay::check_id(NodeId id) const {
@@ -102,35 +86,16 @@ int Overlay::free_fanout(NodeId id) const {
 
 NodeId Overlay::root(NodeId id) const {
   check_id(id);
-  NodeId cur = id;
-  while (parent_[cur] != kNoNode) cur = parent_[cur];
-  return cur;
-}
-
-int Overlay::depth_below_root(NodeId id) const {
-  check_id(id);
-  int depth = 0;
-  NodeId cur = id;
-  while (parent_[cur] != kNoNode) {
-    cur = parent_[cur];
-    ++depth;
-  }
-  return depth;
+  return root_[id];
 }
 
 Delay Overlay::delay_at(NodeId id) const {
   check_id(id);
   if (id == kSourceId) return 0;
-  int depth = 0;
-  NodeId cur = id;
-  while (parent_[cur] != kNoNode) {
-    cur = parent_[cur];
-    ++depth;
-  }
   // Connected: depth already counts the hop onto the source (a direct
   // child is at depth 1 = poll period). Detached: optimistic +1 for the
   // future hop from the group root onto the source.
-  return cur == kSourceId ? depth : depth + 1;
+  return root_[id] == kSourceId ? depth_[id] : depth_[id] + 1;
 }
 
 bool Overlay::in_subtree(NodeId descendant, NodeId ancestor) const {
@@ -169,8 +134,11 @@ void Overlay::set_offline(NodeId id) {
   if (parent_[id] != kNoNode) detach(id);
   // Orphan the children: each becomes the root of its own group.
   while (!children_[id].empty()) detach(children_[id].back());
+  // id is now a lone, unsatisfied chain root: it leaves the orphans.
   online_[id] = 0;
   --online_count_;
+  --orphan_count_;
+  ++counters_.offlines;
   record_edge_event("node_offline", id, kNoNode, false);
 }
 
@@ -180,6 +148,8 @@ void Overlay::set_online(NodeId id) {
   if (online_[id]) return;
   online_[id] = 1;
   ++online_count_;
+  ++orphan_count_;
+  ++counters_.onlines;
   record_edge_event("node_online", id, kNoNode, false);
 }
 
@@ -191,9 +161,8 @@ bool Overlay::can_attach(NodeId child, NodeId parent) const {
   if (parent_[child] != kNoNode) return false;
   if (free_fanout(parent) <= 0) return false;
   // child is a chain root, so a cycle occurs exactly when parent lies in
-  // child's subtree.
-  if (in_subtree(parent, child)) return false;
-  return true;
+  // child's subtree, i.e. has child as its root.
+  return root_[parent] != child;
 }
 
 void Overlay::attach(NodeId child, NodeId parent) {
@@ -201,49 +170,45 @@ void Overlay::attach(NodeId child, NodeId parent) {
                      "attach precondition violated");
   parent_[child] = parent;
   children_[parent].push_back(child);
+  --orphan_count_;
+  relabel_subtree(child, root_[parent], depth_[parent] + 1);
   ++counters_.attaches;
   record_edge_event("edge_attach", child, parent, true);
-  if (attach_observer_) attach_observer_(child, parent);
+  if (observers_.attach) observers_.attach(child, parent);
 }
 
 void Overlay::detach(NodeId child) {
   check_id(child);
   const NodeId p = parent_[child];
   LAGOVER_EXPECTS(p != kNoNode);
-  if (detach_observer_) detach_observer_(child, p);
+  if (observers_.detach) observers_.detach(child, p);
   auto& siblings = children_[p];
   const auto it = std::find(siblings.begin(), siblings.end(), child);
   LAGOVER_ASSERT(it != siblings.end());
   siblings.erase(it);
   parent_[child] = kNoNode;
+  ++orphan_count_;  // only online nodes have parents
+  relabel_subtree(child, child, -depth_[child]);
   ++counters_.detaches;
   record_edge_event("edge_detach", child, p, false);
 }
 
+void Overlay::relabel_subtree(NodeId top, NodeId new_root, int depth_shift) {
+  walk_.assign(1, top);
+  while (!walk_.empty()) {
+    const NodeId cur = walk_.back();
+    walk_.pop_back();
+    if (satisfied_unchecked(cur)) --satisfied_count_;
+    root_[cur] = new_root;
+    depth_[cur] += depth_shift;
+    if (satisfied_unchecked(cur)) ++satisfied_count_;
+    walk_.insert(walk_.end(), children_[cur].begin(), children_[cur].end());
+  }
+}
+
 bool Overlay::satisfied(NodeId id) const {
   check_id(id);
-  if (id == kSourceId) return true;
-  if (!online_[id]) return false;
-  NodeId cur = id;
-  int depth = 0;
-  while (parent_[cur] != kNoNode) {
-    cur = parent_[cur];
-    ++depth;
-  }
-  return cur == kSourceId && depth <= latency_of(id);
-}
-
-std::size_t Overlay::satisfied_count() const {
-  std::size_t count = 0;
-  for (NodeId id = 1; id < specs_.size(); ++id)
-    if (online_[id] && satisfied(id)) ++count;
-  return count;
-}
-
-bool Overlay::all_satisfied() const {
-  for (NodeId id = 1; id < specs_.size(); ++id)
-    if (online_[id] && !satisfied(id)) return false;
-  return true;
+  return id == kSourceId || satisfied_unchecked(id);
 }
 
 double Overlay::satisfied_fraction() const {
@@ -256,6 +221,8 @@ void Overlay::audit() const {
   LAGOVER_ASSERT(parent_[kSourceId] == kNoNode);
   LAGOVER_ASSERT(online_[kSourceId] != 0);
   std::size_t observed_online = 0;
+  std::size_t observed_orphans = 0;
+  std::size_t observed_satisfied = 0;
   for (NodeId id = 0; id < specs_.size(); ++id) {
     // Fanout bound.
     LAGOVER_ASSERT_MSG(
@@ -274,12 +241,21 @@ void Overlay::audit() const {
       LAGOVER_ASSERT_MSG(parent_[child] == id,
                          "child/parent asymmetry at node " +
                              std::to_string(child));
+    // The index agrees with the parent links (with acyclicity below,
+    // this pins every root and depth).
+    const NodeId expected_root = p == kNoNode ? id : root_[p];
+    const int expected_depth = p == kNoNode ? 0 : depth_[p] + 1;
+    LAGOVER_ASSERT_MSG(
+        root_[id] == expected_root && depth_[id] == expected_depth,
+        "stale index at node " + std::to_string(id));
     // Offline nodes are fully detached.
     if (!online_[id]) {
       LAGOVER_ASSERT(p == kNoNode);
       LAGOVER_ASSERT(children_[id].empty());
     } else if (id != kSourceId) {
       ++observed_online;
+      if (p == kNoNode) ++observed_orphans;
+      if (satisfied_unchecked(id)) ++observed_satisfied;
     }
     // Acyclicity: walking up from any node terminates within node_count
     // steps.
@@ -293,6 +269,8 @@ void Overlay::audit() const {
     }
   }
   LAGOVER_ASSERT(observed_online == online_count_);
+  LAGOVER_ASSERT(observed_orphans == orphan_count_);
+  LAGOVER_ASSERT(observed_satisfied == satisfied_count_);
 }
 
 NodeId Overlay::first_greedy_order_violation() const {

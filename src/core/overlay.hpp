@@ -8,6 +8,12 @@
 // report an *optimistic* delay (their depth within the group + 1,
 // i.e. as if the group root were polling the source directly), which is
 // the local knowledge a group has while bootstrapping.
+//
+// The overlay is the one structural index of a run: it keeps every
+// node's chain root and depth below it, plus running orphan and
+// satisfied counts, so Root(), DelayAt(), satisfaction and the counts
+// are O(1) reads. attach/detach/set_offline/set_online keep them up to
+// date by relabelling exactly the subtree that moved.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +29,8 @@ namespace lagover {
 struct OverlayCounters {
   std::uint64_t attaches = 0;
   std::uint64_t detaches = 0;
+  std::uint64_t offlines = 0;
+  std::uint64_t onlines = 0;
 };
 
 /// Mutable overlay (forest) state with structural enforcement of fanout
@@ -38,8 +46,9 @@ class Overlay {
   /// Copies carry the structure but NOT the edge observers: observers
   /// are wiring installed by the owning engine (e.g. the health layer's
   /// lease book) and must not dangle into it from a snapshot copy.
-  Overlay(const Overlay& other);
-  Overlay& operator=(const Overlay& other);
+  /// Moves keep them.
+  Overlay(const Overlay&) = default;
+  Overlay& operator=(const Overlay&) = default;
   Overlay(Overlay&&) = default;
   Overlay& operator=(Overlay&&) = default;
 
@@ -71,9 +80,6 @@ class Overlay {
   /// (optimistic) for detached nodes. DelayAt(source) == 0.
   Delay delay_at(NodeId id) const;
 
-  /// Depth of id below its chain root (root itself has depth 0).
-  int depth_below_root(NodeId id) const;
-
   /// True iff `descendant` lies in the subtree rooted at `ancestor`
   /// (a node is its own descendant).
   bool in_subtree(NodeId descendant, NodeId ancestor) const;
@@ -89,6 +95,8 @@ class Overlay {
   /// Brings a consumer back online as a fresh parentless node.
   void set_online(NodeId id);
   std::size_t online_count() const noexcept { return online_count_; }
+  /// Online consumers without a parent (chain roots seeking one).
+  std::size_t orphan_count() const noexcept { return orphan_count_; }
 
   // --- mutation --------------------------------------------------------
   /// Attaches `child` (currently parentless, online) under `parent`
@@ -111,10 +119,10 @@ class Overlay {
   /// must not mutate the overlay. Not propagated by copies.
   using EdgeObserver = std::function<void(NodeId child, NodeId parent)>;
   void set_attach_observer(EdgeObserver observer) {
-    attach_observer_ = std::move(observer);
+    observers_.attach = std::move(observer);
   }
   void set_detach_observer(EdgeObserver observer) {
-    detach_observer_ = std::move(observer);
+    observers_.detach = std::move(observer);
   }
 
   // --- constraint satisfaction ------------------------------------------
@@ -122,11 +130,13 @@ class Overlay {
   bool satisfied(NodeId id) const;
 
   /// Number of online consumers currently satisfied.
-  std::size_t satisfied_count() const;
+  std::size_t satisfied_count() const noexcept { return satisfied_count_; }
 
   /// True iff every online consumer is satisfied ("the LagOver is
   /// constructed").
-  bool all_satisfied() const;
+  bool all_satisfied() const noexcept {
+    return satisfied_count_ == online_count_;
+  }
 
   /// Fraction of online consumers satisfied (1.0 when no one is online).
   double satisfied_fraction() const;
@@ -135,8 +145,9 @@ class Overlay {
 
   // --- diagnostics -----------------------------------------------------
   /// Verifies structural invariants (parent/child symmetry, fanout
-  /// bounds, acyclicity, offline nodes detached); aborts with a message
-  /// on violation. Cheap enough to call per round in tests.
+  /// bounds, acyclicity, offline nodes detached) and that the index
+  /// agrees with the parent links; aborts with a message on violation.
+  /// Cheap enough to call per round in tests.
   void audit() const;
 
   /// Checks the greedy ordering invariant i <- j ==> l_j <= l_i over all
@@ -148,7 +159,32 @@ class Overlay {
   std::string to_ascii() const;
 
  private:
+  /// The edge observers, in a holder whose copies start empty (see the
+  /// copy constructor's comment); moves keep them.
+  struct Observers {
+    EdgeObserver attach;
+    EdgeObserver detach;
+
+    Observers() = default;
+    Observers(const Observers& /*other*/) {}
+    Observers& operator=(const Observers& /*other*/) {
+      attach = nullptr;
+      detach = nullptr;
+      return *this;
+    }
+    Observers(Observers&&) = default;
+    Observers& operator=(Observers&&) = default;
+  };
+
   void check_id(NodeId id) const;
+  /// satisfied() without the id check, read off the index.
+  bool satisfied_unchecked(NodeId id) const {
+    return online_[id] != 0 && root_[id] == kSourceId &&
+           depth_[id] <= specs_[id].constraints.latency;
+  }
+  /// Moves `top`'s subtree under chain root `new_root`, shifting every
+  /// member's depth by `depth_shift` and the satisfied count with it.
+  void relabel_subtree(NodeId top, NodeId new_root, int depth_shift);
 
   Population population_;
   std::vector<NodeSpec> specs_;       // index = id; [0] is the source
@@ -156,9 +192,16 @@ class Overlay {
   std::vector<std::vector<NodeId>> children_;
   std::vector<char> online_;          // [0] always true
   std::size_t online_count_ = 0;      // consumers only
+  // --- the index: per node its chain root (itself for roots) and its
+  // depth below that root; orphan_count() and satisfied_count().
+  std::vector<NodeId> root_;
+  std::vector<int> depth_;
+  std::size_t orphan_count_ = 0;
+  std::size_t satisfied_count_ = 0;
+  /// relabel_subtree()'s stack, reused across calls.
+  std::vector<NodeId> walk_;
   OverlayCounters counters_;
-  EdgeObserver attach_observer_;
-  EdgeObserver detach_observer_;
+  Observers observers_;
 };
 
 }  // namespace lagover

@@ -1,6 +1,5 @@
 #include "core/validator.hpp"
 
-#include <algorithm>
 #include <queue>
 #include <sstream>
 
@@ -106,7 +105,6 @@ const char* to_string(Invariant invariant) noexcept {
     case Invariant::kGreedyOrder: return "greedy_order";
     case Invariant::kDelayDepth: return "delay_depth";
     case Invariant::kEpochLease: return "epoch_lease";
-    case Invariant::kHealthMirror: return "health_mirror";
   }
   return "?";
 }
@@ -156,6 +154,8 @@ InvariantReport audit_invariants(const Overlay& overlay, AlgorithmKind mode,
     }
   }
 
+  std::size_t orphans = 0;
+  std::size_t satisfied = 0;
   for (NodeId id = 0; id < n; ++id) {
     const NodeId parent = overlay.parent(id);
     if (parent != kNoNode) ++report.edges_checked;
@@ -165,6 +165,11 @@ InvariantReport audit_invariants(const Overlay& overlay, AlgorithmKind mode,
                     "node " + std::to_string(id) +
                         " is unreachable from any chain root (parent cycle)");
       continue;  // depth-derived checks are meaningless on a cycle
+    }
+    if (id != kSourceId && overlay.online(id)) {
+      if (parent == kNoNode) ++orphans;
+      if (root_of[id] == kSourceId && depth[id] <= overlay.latency_of(id))
+        ++satisfied;
     }
 
     // Fanout bound |Children(i)| <= f_i.
@@ -189,6 +194,12 @@ InvariantReport audit_invariants(const Overlay& overlay, AlgorithmKind mode,
                     "node " + std::to_string(id) + " reports DelayAt " +
                         std::to_string(reported) + ", recomputed depth " +
                         std::to_string(expected));
+    if (overlay.root(id) != root_of[id])
+      add_violation(report, Invariant::kDelayDepth, id, parent,
+                    "root_mismatch",
+                    "node " + std::to_string(id) + " reports Root " +
+                        std::to_string(overlay.root(id)) + ", recomputed " +
+                        std::to_string(root_of[id]));
 
     if (parent == kNoNode) continue;
 
@@ -230,125 +241,17 @@ InvariantReport audit_invariants(const Overlay& overlay, AlgorithmKind mode,
       }
     }
   }
-  return report;
-}
 
-InvariantReport crosscheck_health(
-    const Overlay& overlay, const telemetry::OverlayHealthRecorder& recorder,
-    std::uint64_t run) {
-  InvariantReport report;
-  telemetry::HealthMirrorView view;
-  if (!recorder.mirror_view(run, &view)) return report;
-
-  const std::size_t n = overlay.node_count();
-  report.nodes_checked = n;
-  if (view.parent.size() != n) {
-    add_violation(report, Invariant::kHealthMirror, kNoNode, kNoNode,
-                  "health_mismatch",
-                  "mirror tracks " + std::to_string(view.parent.size()) +
-                      " node(s), overlay has " + std::to_string(n));
-    return report;
-  }
-
-  // Ground truth: the same independent BFS the audit uses — depths and
-  // chain roots recomputed from the children lists, never trusting the
-  // overlay's own parent walks or the mirror's incremental state.
-  std::vector<int> depth(n, -1);
-  std::vector<NodeId> root_of(n, kNoNode);
-  std::queue<NodeId> frontier;
-  for (NodeId id = 0; id < n; ++id) {
-    if (overlay.parent(id) != kNoNode) continue;
-    depth[id] = 0;
-    root_of[id] = id;
-    frontier.push(id);
-  }
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop();
-    for (const NodeId child : overlay.children(cur)) {
-      if (depth[child] != -1) continue;
-      depth[child] = depth[cur] + 1;
-      root_of[child] = root_of[cur];
-      frontier.push(child);
-    }
-  }
-
-  std::uint64_t online_consumers = 0;
-  std::uint64_t orphans = 0;
-  std::uint64_t satisfied = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t capacity = 0;
-  std::uint64_t saturated = 0;
-  for (NodeId id = 0; id < n; ++id) {
-    const bool online = overlay.online(id);
-    const NodeId parent = overlay.parent(id);
-    const bool connected = depth[id] != -1 && root_of[id] == kSourceId;
-    const std::int64_t delay =
-        id == kSourceId ? 0
-        : depth[id] == -1
-            ? -1  // on a cycle; the structural audit reports it
-            : (connected ? depth[id] : depth[id] + 1);
-
-    if (online) {
-      capacity +=
-          static_cast<std::uint64_t>(std::max(overlay.fanout_of(id), 0));
-      if (static_cast<int>(overlay.children(id).size()) >=
-          overlay.fanout_of(id))
-        ++saturated;
-    }
-    if (id != kSourceId && online) {
-      ++online_consumers;
-      if (parent == kNoNode) ++orphans;
-      if (connected && delay <= overlay.latency_of(id)) ++satisfied;
-    }
-    if (parent != kNoNode) ++edges;
-
-    if ((view.online[id] != 0) != online)
-      add_violation(report, Invariant::kHealthMirror, id, parent,
-                    "health_mismatch",
-                    "node " + std::to_string(id) + " mirror online=" +
-                        std::to_string(view.online[id] != 0) + ", overlay " +
-                        std::to_string(online));
-    if (view.parent[id] != parent)
-      add_violation(report, Invariant::kHealthMirror, id, parent,
-                    "health_mismatch",
-                    "node " + std::to_string(id) + " mirror parent=" +
-                        std::to_string(view.parent[id]) + ", overlay " +
-                        std::to_string(parent));
-    if (depth[id] == -1) continue;  // cycle: delay checks meaningless
-    if ((view.connected[id] != 0) != connected)
-      add_violation(report, Invariant::kHealthMirror, id, parent,
-                    "health_mismatch",
-                    "node " + std::to_string(id) + " mirror connected=" +
-                        std::to_string(view.connected[id] != 0) +
-                        ", recomputed " + std::to_string(connected));
-    const std::int64_t mirror_delay =
-        id == kSourceId
-            ? 0
-            : (view.connected[id] != 0 ? view.depth[id] : view.depth[id] + 1);
-    if (mirror_delay != delay)
-      add_violation(report, Invariant::kHealthMirror, id, parent,
-                    "health_mismatch",
-                    "node " + std::to_string(id) + " mirror DelayAt=" +
-                        std::to_string(mirror_delay) + ", recomputed " +
-                        std::to_string(delay));
-  }
-
-  report.edges_checked = edges;
-  const auto check_total = [&report](const char* what, std::uint64_t mirror,
-                                     std::uint64_t recomputed) {
-    if (mirror == recomputed) return;
-    add_violation(report, Invariant::kHealthMirror, kNoNode, kNoNode,
-                  "health_mismatch",
-                  std::string(what) + " mirror=" + std::to_string(mirror) +
+  const auto check_count = [&report](const char* what, std::size_t reported,
+                                     std::size_t recomputed) {
+    if (reported == recomputed) return;
+    add_violation(report, Invariant::kDelayDepth, kNoNode, kNoNode,
+                  "count_mismatch",
+                  std::string(what) + " reported " + std::to_string(reported) +
                       ", recomputed " + std::to_string(recomputed));
   };
-  check_total("online_consumers", view.online_consumers, online_consumers);
-  check_total("orphans", view.orphans, orphans);
-  check_total("satisfied", view.satisfied, satisfied);
-  check_total("edges", view.edges, edges);
-  check_total("capacity", view.capacity, capacity);
-  check_total("saturated", view.saturated, saturated);
+  check_count("orphans", overlay.orphan_count(), orphans);
+  check_count("satisfied", overlay.satisfied_count(), satisfied);
   return report;
 }
 

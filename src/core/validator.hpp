@@ -13,7 +13,6 @@
 #include "health/lease.hpp"
 #include "telemetry/event_bus.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/health.hpp"
 
 namespace lagover {
 
@@ -86,11 +85,10 @@ enum class Invariant {
   /// constraint never exceeds its child's (l_parent <= l_child). Only
   /// meaningful for AlgorithmKind::kGreedy runs.
   kGreedyOrder,
-  kDelayDepth,   ///< DelayAt(i) equals the independently recomputed depth
+  /// The overlay's index agrees with an independent BFS: Root(i) and
+  /// DelayAt(i) at every node, and the orphan and satisfied counts.
+  kDelayDepth,
   kEpochLease,   ///< every edge's lease names the parent's current epoch
-  /// The health observatory's incremental mirror (telemetry/health.hpp)
-  /// agrees with an independent BFS recompute of the overlay.
-  kHealthMirror,
 };
 
 /// Stable lower_snake name ("acyclic", "fanout_bound", ...).
@@ -105,8 +103,8 @@ struct InvariantViolation {
   /// Round (or sim-time tick) the audit ran in; stamped by publish().
   Round round = 0;
   /// Structured cause tag: "cycle", "fanout_exceeded", "latency_order",
-  /// "delay_depth_mismatch", "stale_lease", "future_lease",
-  /// "unleased_edge".
+  /// "delay_depth_mismatch", "root_mismatch", "count_mismatch",
+  /// "stale_lease", "future_lease", "unleased_edge".
   const char* cause = "";
   std::string detail;  ///< human-readable specifics
 };
@@ -126,25 +124,15 @@ struct InvariantReport {
 /// The engines' audit sink: one event per violation per audited round.
 using AuditBus = telemetry::EventBus<InvariantViolation>;
 
-/// Audits the full paper invariant set: acyclicity, fanout bounds,
-/// DelayAt/depth consistency (depths recomputed independently from the
-/// children lists, not via Overlay's parent walks), the greedy latency
-/// ordering when mode == kGreedy, and — when `epochs` is non-null —
-/// epoch-lease consistency (no stale, future, or missing lease on any
-/// live edge). Non-fatal: violations are collected, never aborted on.
+/// Audits the full paper invariant set: acyclicity, fanout bounds, the
+/// overlay's index (Root, DelayAt and the orphan and satisfied counts,
+/// recomputed independently by BFS down the children lists), the
+/// greedy latency ordering when mode == kGreedy, and — when `epochs` is
+/// non-null — epoch-lease consistency (no stale, future, or missing
+/// lease on any live edge). Non-fatal: violations are collected, never
+/// aborted on.
 InvariantReport audit_invariants(const Overlay& overlay, AlgorithmKind mode,
                                  const health::EpochBook* epochs = nullptr);
-
-/// Diffs the health observatory's incrementally-maintained mirror of
-/// `run` against an independent BFS recompute over `overlay`: per-node
-/// liveness/parent/connectivity/DelayAt, plus the derived aggregates
-/// (online consumers, orphans, satisfied, edges, capacity, saturated
-/// nodes). Every disagreement becomes a kHealthMirror violation with
-/// cause "health_mismatch". Empty report when `run` is not the
-/// recorder's open run (nothing to check). Read-only on both sides.
-InvariantReport crosscheck_health(
-    const Overlay& overlay, const telemetry::OverlayHealthRecorder& recorder,
-    std::uint64_t run);
 
 /// Stamps `round` on every violation, publishes each to `bus`, and
 /// bumps the "audit.violations" telemetry counter. Returns the number

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <utility>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace lagover::telemetry {
 
@@ -32,16 +32,9 @@ void OverlayHealthRecorder::set_active(
 OverlayHealthRecorder::OverlayHealthRecorder()
     : OverlayHealthRecorder(Config()) {}
 
-OverlayHealthRecorder::OverlayHealthRecorder(Config config) : config_(config) {
-  // The handler runs under the bus lock on whichever thread published;
-  // lock order is bus -> recorder (-> metrics registry), never reversed.
-  event_sub_ = event_bus().subscribe([this](const EventRecord& record) {
-    on_event(record);
-  });
-}
+OverlayHealthRecorder::OverlayHealthRecorder(Config config) : config_(config) {}
 
 OverlayHealthRecorder::~OverlayHealthRecorder() {
-  event_bus().unsubscribe(event_sub_);
   // Only deactivate if we are still the active recorder (another one
   // may have been installed since).
   OverlayHealthRecorder* expected = this;
@@ -78,38 +71,11 @@ OverlayHealthRecorder::subsystem_totals() {
   return totals;
 }
 
-std::uint64_t OverlayHealthRecorder::begin_run(
-    const std::vector<int>& fanout, const std::vector<int>& latency) {
+std::uint64_t OverlayHealthRecorder::begin_run(std::size_t nodes) {
   MutexLock lock(&mutex_);
   if (run_ != 0) end_run_locked();
-  const std::size_t n = std::min(fanout.size(), latency.size());
   run_ = next_run_++;
-  const auto count = static_cast<std::ptrdiff_t>(n);
-  fanout_.assign(fanout.begin(), fanout.begin() + count);
-  latency_.assign(latency.begin(), latency.begin() + count);
-  parent_.assign(n, kNone);
-  children_.assign(n, {});
-  depth_.assign(n, 0);
-  connected_.assign(n, 0);
-  online_.assign(n, 1);
-  if (n > 0) connected_[0] = 1;  // the source is its own (connected) root
-  depth_counts_.assign(2, 0);
-  depth_sum_ = 0;
-  slack_counts_.clear();
-  slack_by_depth_.clear();
-  slack_sum_ = 0;
-  online_consumers_ = n > 0 ? n - 1 : 0;
-  orphans_ = online_consumers_;  // every consumer starts parentless
-  satisfied_ = 0;
-  edges_ = 0;
-  capacity_ = 0;
-  saturated_ = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    capacity_ += static_cast<std::uint64_t>(std::max(fanout_[i], 0));
-    if (fanout_[i] <= 0) ++saturated_;
-  }
-  for (std::uint32_t i = 1; i < n; ++i) add_node_stats(i);
-  attaches_ = detaches_ = offlines_ = onlines_ = 0;
+  nodes_ = nodes;
   message_base_ = subsystem_totals();
   streak_start_ = -1;
   streak_len_ = 0;
@@ -125,221 +91,12 @@ std::uint64_t OverlayHealthRecorder::begin_run(
   header.set("kind", Json::string("run"));
   header.set("run", Json::integer(static_cast<std::int64_t>(run_)));
   header.set("t", Json::number(sim_now()));
-  header.set("nodes", Json::integer(static_cast<std::int64_t>(n)));
-  header.set("consumers",
-             Json::integer(static_cast<std::int64_t>(online_consumers_)));
+  const std::size_t consumers = nodes > 0 ? nodes - 1 : 0;
+  header.set("nodes", Json::integer(static_cast<std::int64_t>(nodes)));
+  header.set("consumers", Json::integer(static_cast<std::int64_t>(consumers)));
   header.set("stability_rounds", Json::integer(config_.stability_rounds));
   emit_locked(header);
   return run_;
-}
-
-void OverlayHealthRecorder::on_event(const EventRecord& record) {
-  MutexLock lock(&mutex_);
-  if (run_ == 0) return;
-  // Subjects outside the registered population (another engine's
-  // scratch overlay) are not ours to mirror.
-  if (record.subject >= parent_.size()) return;
-  if (std::strcmp(record.name, "edge_attach") == 0) {
-    if (record.partner < parent_.size())
-      apply_attach(record.subject, record.partner);
-  } else if (std::strcmp(record.name, "edge_detach") == 0) {
-    apply_detach(record.subject);
-  } else if (std::strcmp(record.name, "node_offline") == 0) {
-    apply_offline(record.subject);
-  } else if (std::strcmp(record.name, "node_online") == 0) {
-    apply_online(record.subject);
-  }
-}
-
-void OverlayHealthRecorder::apply_attach(std::uint32_t child,
-                                         std::uint32_t parent) {
-  if (child == 0 || child == parent) return;
-  if (parent_[child] != kNone) return;  // stale event; mirror disagrees
-  // Orphan accounting is transition-based: parent_ flips under our feet
-  // inside this handler, so add/remove_node_stats cannot infer it.
-  if (online_[child] != 0 && orphans_ > 0) --orphans_;
-  const bool parent_was_saturated =
-      static_cast<int>(children_[parent].size()) >= fanout_[parent];
-  parent_[child] = parent;
-  children_[parent].push_back(child);
-  if (online_[parent] != 0 && !parent_was_saturated &&
-      static_cast<int>(children_[parent].size()) >= fanout_[parent])
-    ++saturated_;
-  ++edges_;
-  ++attaches_;
-  shift_subtree(child, depth_[parent] + 1 - depth_[child],
-                connected_[parent] != 0);
-}
-
-void OverlayHealthRecorder::apply_detach(std::uint32_t child) {
-  const std::uint32_t parent = parent_[child];
-  if (parent == kNone) return;
-  const bool parent_was_saturated =
-      static_cast<int>(children_[parent].size()) >= fanout_[parent];
-  auto& siblings = children_[parent];
-  const auto it = std::find(siblings.begin(), siblings.end(), child);
-  if (it != siblings.end()) siblings.erase(it);
-  if (online_[parent] != 0 && parent_was_saturated &&
-      static_cast<int>(siblings.size()) < fanout_[parent])
-    --saturated_;
-  parent_[child] = kNone;
-  if (online_[child] != 0) ++orphans_;
-  if (edges_ > 0) --edges_;
-  ++detaches_;
-  shift_subtree(child, -depth_[child], false);
-}
-
-void OverlayHealthRecorder::apply_offline(std::uint32_t node) {
-  if (node == 0 || online_[node] == 0) return;
-  // The overlay detaches the node and orphans its children before the
-  // offline event fires; mirror defensively in case a stream consumer
-  // sees reordered events.
-  while (!children_[node].empty()) apply_detach(children_[node].back());
-  if (parent_[node] != kNone) apply_detach(node);
-  remove_node_stats(node);
-  if (orphans_ > 0) --orphans_;  // parentless + online until this line
-  online_[node] = 0;
-  --online_consumers_;
-  capacity_ -= static_cast<std::uint64_t>(std::max(fanout_[node], 0));
-  if (fanout_[node] <= 0 && saturated_ > 0) --saturated_;
-  ++offlines_;
-}
-
-void OverlayHealthRecorder::apply_online(std::uint32_t node) {
-  if (node == 0 || online_[node] != 0) return;
-  online_[node] = 1;
-  depth_[node] = 0;
-  connected_[node] = 0;
-  ++orphans_;  // rejoins parentless
-  ++online_consumers_;
-  capacity_ += static_cast<std::uint64_t>(std::max(fanout_[node], 0));
-  if (fanout_[node] <= 0) ++saturated_;
-  add_node_stats(node);
-  ++onlines_;
-}
-
-void OverlayHealthRecorder::shift_subtree(std::uint32_t node, int depth_delta,
-                                          bool connected) {
-  walk_stack_.clear();
-  walk_stack_.push_back(node);
-  while (!walk_stack_.empty()) {
-    const std::uint32_t cur = walk_stack_.back();
-    walk_stack_.pop_back();
-    remove_node_stats(cur);
-    depth_[cur] += depth_delta;
-    connected_[cur] = connected ? 1 : 0;
-    add_node_stats(cur);
-    for (std::uint32_t child : children_[cur]) walk_stack_.push_back(child);
-  }
-}
-
-std::int64_t OverlayHealthRecorder::delay_of(std::uint32_t node) const {
-  if (node == 0) return 0;
-  // DelayAt: tree depth when connected; optimistic depth-in-group + 1
-  // while detached (core/overlay.cpp agrees).
-  return connected_[node] != 0 ? depth_[node] : depth_[node] + 1;
-}
-
-void OverlayHealthRecorder::add_node_stats(std::uint32_t node) {
-  if (node == 0 || online_[node] == 0) return;
-  const std::int64_t delay = delay_of(node);
-  if (static_cast<std::size_t>(delay) >= depth_counts_.size())
-    depth_counts_.resize(static_cast<std::size_t>(delay) + 1, 0);
-  ++depth_counts_[static_cast<std::size_t>(delay)];
-  depth_sum_ += delay;
-  const std::int64_t slack = latency_[node] - delay;
-  slack_counts_.add(slack);
-  if (static_cast<std::size_t>(delay) >= slack_by_depth_.size())
-    slack_by_depth_.resize(static_cast<std::size_t>(delay) + 1);
-  slack_by_depth_[static_cast<std::size_t>(delay)].add(slack);
-  slack_sum_ += slack;
-  if (connected_[node] != 0 && delay <= latency_[node]) ++satisfied_;
-}
-
-void OverlayHealthRecorder::remove_node_stats(std::uint32_t node) {
-  if (node == 0 || online_[node] == 0) return;
-  const std::int64_t delay = delay_of(node);
-  if (static_cast<std::size_t>(delay) < depth_counts_.size() &&
-      depth_counts_[static_cast<std::size_t>(delay)] > 0)
-    --depth_counts_[static_cast<std::size_t>(delay)];
-  depth_sum_ -= delay;
-  const std::int64_t slack = latency_[node] - delay;
-  slack_counts_.remove(slack);
-  if (static_cast<std::size_t>(delay) < slack_by_depth_.size())
-    slack_by_depth_[static_cast<std::size_t>(delay)].remove(slack);
-  slack_sum_ -= slack;
-  if (connected_[node] != 0 && delay <= latency_[node] && satisfied_ > 0)
-    --satisfied_;
-}
-
-HealthSample OverlayHealthRecorder::build_sample_locked(double t) {
-  HealthSample sample;
-  sample.run = run_;
-  sample.round = static_cast<std::int64_t>(std::llround(t));
-  sample.t = t;
-  sample.online = online_consumers_;
-  sample.orphans = orphans_;
-  sample.satisfied = satisfied_;
-  sample.unsatisfied = online_consumers_ - satisfied_;
-  sample.converged = sample.unsatisfied == 0;
-
-  // Depth percentiles from the histogram: O(max observed DelayAt), not
-  // O(nodes) — no hot-path BFS.
-  const std::uint64_t total = online_consumers_;
-  if (total > 0) {
-    const std::uint64_t r50 = (total + 1) / 2;
-    const std::uint64_t r90 =
-        std::max<std::uint64_t>(1, (total * 9 + 9) / 10);
-    const std::uint64_t r99 =
-        std::max<std::uint64_t>(1, (total * 99 + 99) / 100);
-    std::uint64_t seen = 0;
-    for (std::size_t d = 0; d < depth_counts_.size(); ++d) {
-      if (depth_counts_[d] == 0) continue;
-      seen += depth_counts_[d];
-      const auto depth = static_cast<std::int64_t>(d);
-      if (sample.depth_p50 == 0 && seen >= r50) sample.depth_p50 = depth;
-      if (sample.depth_p90 == 0 && seen >= r90) sample.depth_p90 = depth;
-      if (sample.depth_p99 == 0 && seen >= r99) sample.depth_p99 = depth;
-      sample.max_depth = depth;
-    }
-    sample.mean_depth =
-        static_cast<double>(depth_sum_) / static_cast<double>(total);
-    sample.mean_slack =
-        static_cast<double>(slack_sum_) / static_cast<double>(total);
-  }
-  if (!slack_counts_.empty()) {
-    sample.min_slack = slack_counts_.min_key();
-    sample.violated = slack_counts_.count_below(0);
-  }
-  // The deepest consumers' row holds the smallest slack at max DelayAt.
-  if (total > 0 &&
-      static_cast<std::size_t>(sample.max_depth) < slack_by_depth_.size() &&
-      !slack_by_depth_[static_cast<std::size_t>(sample.max_depth)].empty()) {
-    sample.deepest_slack =
-        slack_by_depth_[static_cast<std::size_t>(sample.max_depth)].min_key();
-  }
-
-  sample.edges = edges_;
-  sample.capacity = capacity_;
-  sample.saturated = saturated_;
-  sample.utilization =
-      capacity_ > 0
-          ? static_cast<double>(edges_) / static_cast<double>(capacity_)
-          : 0.0;
-  sample.attaches = attaches_;
-  sample.detaches = detaches_;
-  sample.offlines = offlines_;
-  sample.onlines = onlines_;
-
-  std::map<std::string, std::uint64_t> totals = subsystem_totals();
-  for (const auto& [prefix, value] : totals) {
-    const auto base = message_base_.find(prefix);
-    const std::uint64_t delta =
-        base == message_base_.end() ? value : value - base->second;
-    if (delta > 0) sample.messages[prefix] = delta;
-  }
-  message_base_ = std::move(totals);
-  return sample;
 }
 
 Json OverlayHealthRecorder::sample_to_json(const HealthSample& sample) {
@@ -406,11 +163,20 @@ void OverlayHealthRecorder::emit_locked(const Json& line) {
   if (stream_ != nullptr) *stream_ << line.dump() << '\n';
 }
 
-void OverlayHealthRecorder::note_round(std::uint64_t run, double t) {
+void OverlayHealthRecorder::note_round(std::uint64_t run,
+                                       HealthSample sample) {
   MutexLock lock(&mutex_);
   if (run == 0 || run != run_) return;
-  HealthSample sample = build_sample_locked(t);
-  attaches_ = detaches_ = offlines_ = onlines_ = 0;
+  sample.run = run_;
+  sample.round = static_cast<std::int64_t>(std::llround(sample.t));
+  std::map<std::string, std::uint64_t> totals = subsystem_totals();
+  for (const auto& [prefix, value] : totals) {
+    const auto base = message_base_.find(prefix);
+    const std::uint64_t delta =
+        base == message_base_.end() ? value : value - base->second;
+    if (delta > 0) sample.messages[prefix] = delta;
+  }
+  message_base_ = std::move(totals);
 
   // Convergence tracker: latch the first round whose converged state
   // held for `stability_rounds` consecutive samples.
@@ -466,7 +232,7 @@ void OverlayHealthRecorder::end_run_locked() {
   if (run_ == 0) return;
   HealthRunResult result;
   result.run = run_;
-  result.nodes = parent_.size();
+  result.nodes = nodes_;
   result.rounds = have_sample_ ? last_sample_.round : 0;
   result.convergence_round = convergence_round_;
   result.converged = convergence_round_ >= 0;
@@ -533,23 +299,6 @@ std::uint64_t OverlayHealthRecorder::stream_lines() const {
 std::uint64_t OverlayHealthRecorder::samples_total() const {
   MutexLock lock(&mutex_);
   return samples_total_;
-}
-
-bool OverlayHealthRecorder::mirror_view(std::uint64_t run,
-                                        HealthMirrorView* view) const {
-  MutexLock lock(&mutex_);
-  if (run == 0 || run != run_) return false;
-  view->parent = parent_;
-  view->online.assign(online_.begin(), online_.end());
-  view->connected.assign(connected_.begin(), connected_.end());
-  view->depth = depth_;
-  view->online_consumers = online_consumers_;
-  view->orphans = orphans_;
-  view->satisfied = satisfied_;
-  view->edges = edges_;
-  view->capacity = capacity_;
-  view->saturated = saturated_;
-  return true;
 }
 
 Json OverlayHealthRecorder::to_json() {

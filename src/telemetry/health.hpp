@@ -1,21 +1,18 @@
-// Overlay health observatory: an incrementally-maintained structural
-// view of the overlay forest, fed by the global edge-event stream
-// (edge_attach / edge_detach / node_offline / node_online published by
-// core/overlay.cpp) plus a per-round sampling hook in both engines.
+// Overlay health observatory: per-round tree-quality samples of a
+// construction run, plus what the run's samples add up to.
 //
-// The recorder mirrors the forest in flat vectors (parent, children,
-// depth-below-root, connectivity, liveness) and keeps every tree-quality
-// aggregate — depth histogram, latency-slack distribution l_i - DelayAt,
-// fanout utilization, orphan/unsatisfied counts, churn rates — updated
-// in O(changed nodes) per round: a reparent shifts exactly the moved
-// subtree's depths, and no BFS ever runs on the hot path. (The audit
-// build's independent BFS recompute in core/validator.cpp cross-checks
-// the mirror every audited round; see crosscheck_health.)
-//
-// On top of the mirror:
+// The overlay is the structural index (core/overlay.hpp keeps every
+// node's Root and DelayAt and the orphan and satisfied counts), so the
+// engines' shared NodeRuntime builds each HealthSample in one pass over
+// its own overlay — depth histogram, latency-slack distribution
+// l_i - DelayAt, fanout utilization, orphan/unsatisfied counts, churn
+// deltas — and hands it to note_round(). The recorder keeps no copy of
+// the forest. On top of the samples it keeps:
 //   * a convergence tracker — the first round where every constraint
 //     holds and stays stable for `stability_rounds` consecutive samples
 //     is latched as the run's convergence round,
+//   * per-subsystem message-counter deltas, read from the metrics
+//     registry at each sample,
 //   * a bounded-memory downsampling streamer — "lagover.health.v1"
 //     JSONL, one run header + stride-thinned samples + a run_end
 //     summary per construction run (the stride doubles whenever the
@@ -23,26 +20,21 @@
 //   * a last-K sample ring mirrored into flight-recorder bundles.
 //
 // Cost model, like every telemetry layer before it: no active recorder
-// means engines skip registration entirely — default-off runs are
-// byte-identical. Layering: this lives below core/, so engines hand in
-// flattened fanout/latency vectors rather than core types.
+// means engines skip registration and sampling entirely — default-off
+// runs are byte-identical.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "telemetry/event_bus.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace lagover::telemetry {
 
@@ -101,92 +93,14 @@ struct HealthRunResult {
   HealthSample final;  ///< the run's last sample
 };
 
-/// A copy of the recorder's mirror for one run, handed to the audit
-/// cross-check (core/validator.cpp) so it can diff the incremental
-/// state against an independent BFS recompute.
-/// Dense histogram over a signed, small-range key (slack values).
-/// add/remove are amortized O(1) array bumps — std::map nodes on the
-/// per-event path were the recorder's dominant cost. Scans (min key,
-/// counts below a bound) run only at sample time and cost O(key range),
-/// the same order as the depth-percentile walk.
-struct SlackHist {
-  std::int64_t base = 0;  ///< counts[i] holds the count for key base+i
-  std::vector<std::uint64_t> counts;
-  std::uint64_t total = 0;
-
-  void add(std::int64_t key) {
-    ++counts[slot(key)];
-    ++total;
-  }
-  void remove(std::int64_t key) {
-    const auto i = static_cast<std::size_t>(key - base);
-    if (key >= base && i < counts.size() && counts[i] > 0) {
-      --counts[i];
-      --total;
-    }
-  }
-  bool empty() const { return total == 0; }
-  /// Smallest key with a nonzero count; `base` when empty.
-  std::int64_t min_key() const {
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      if (counts[i] != 0) return base + static_cast<std::int64_t>(i);
-    return base;
-  }
-  /// Sum of counts over keys strictly below `bound`.
-  std::uint64_t count_below(std::int64_t bound) const {
-    std::uint64_t sum = 0;
-    const std::int64_t end =
-        std::min(bound - base, static_cast<std::int64_t>(counts.size()));
-    for (std::int64_t i = 0; i < end; ++i) sum += counts[i];
-    return sum;
-  }
-  void clear() {
-    base = 0;
-    counts.clear();
-    total = 0;
-  }
-
- private:
-  std::size_t slot(std::int64_t key) {
-    if (counts.empty()) {
-      base = key;
-      counts.assign(1, 0);
-      return 0;
-    }
-    if (key < base) {  // grow at the front; base only ever decreases
-      counts.insert(counts.begin(), static_cast<std::size_t>(base - key), 0);
-      base = key;
-      return 0;
-    }
-    const auto i = static_cast<std::size_t>(key - base);
-    if (i >= counts.size()) counts.resize(i + 1, 0);
-    return i;
-  }
-};
-
-struct HealthMirrorView {
-  std::vector<std::uint32_t> parent;  ///< 0xffffffff = no parent
-  std::vector<char> online;
-  std::vector<char> connected;
-  std::vector<int> depth;  ///< depth below chain root
-  std::uint64_t online_consumers = 0;
-  std::uint64_t orphans = 0;
-  std::uint64_t satisfied = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t capacity = 0;
-  std::uint64_t saturated = 0;
-};
-
-/// The observatory. Subscribes to the global event bus on construction
-/// (so overlay mutations reach it with no engine-side plumbing),
-/// unsubscribes on destruction. Engines register each construction run
-/// via begin_run() — only when a recorder is active, so the default
-/// path never takes the detour — and drive sampling via note_round().
+/// The observatory. Engines register each construction run via
+/// begin_run() — only when a recorder is active, so the default path
+/// never takes the detour — and hand it one sample per round via
+/// note_round().
 ///
 /// Internally locked, PerfRecorder-style: the active recorder is
-/// installed through an acquire/release atomic, and all mirror and
-/// aggregate state sits behind the recorder's mutex (the bus handler
-/// may fire from any publishing thread; lock order is always bus ->
+/// installed through an acquire/release atomic, and all run and stream
+/// state sits behind the recorder's mutex (lock order is always
 /// recorder -> metrics registry).
 class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
  public:
@@ -224,19 +138,19 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
       LAGOVER_EXCLUDES(mutex_);
 
   // --- run lifecycle (engines) ---------------------------------------
-  /// Registers a construction run over nodes 0..n-1 (index 0 = source).
-  /// `fanout[i]` / `latency[i]` are node i's constraints; all consumers
-  /// start online and parentless. Ends any previously open run first
-  /// (benches run trials serially), resets the mirror, and returns the
-  /// run id engines pass to note_round()/end_run(). Never returns 0.
-  std::uint64_t begin_run(const std::vector<int>& fanout,
-                          const std::vector<int>& latency)
-      LAGOVER_EXCLUDES(mutex_);
+  /// Registers a construction run over `nodes` nodes (the source and
+  /// its consumers). Ends any previously open run first (benches run
+  /// trials serially) and returns the run id engines pass to
+  /// note_round()/end_run(). Never returns 0.
+  std::uint64_t begin_run(std::size_t nodes) LAGOVER_EXCLUDES(mutex_);
 
-  /// Samples the aggregates at the end of a round (sim time `t`).
+  /// Records the end-of-round `sample` (its structural fields and `t`
+  /// filled in by the engine): stamps the run, the round and the
+  /// message deltas, feeds the convergence tracker, ring and stream.
   /// Ignored unless `run` is the currently open run, so an engine whose
   /// run was superseded cannot corrupt the successor's stream.
-  void note_round(std::uint64_t run, double t) LAGOVER_EXCLUDES(mutex_);
+  void note_round(std::uint64_t run, HealthSample sample)
+      LAGOVER_EXCLUDES(mutex_);
 
   /// Closes a run: emits the run_end summary line and archives the
   /// HealthRunResult. Ignored unless `run` is currently open.
@@ -256,12 +170,6 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
   std::uint64_t stream_lines() const LAGOVER_EXCLUDES(mutex_);
   std::uint64_t samples_total() const LAGOVER_EXCLUDES(mutex_);
 
-  /// Copies the mirror state of `run` into `view`; false when `run` is
-  /// not the open run. The audit cross-check's window into the
-  /// incremental state.
-  bool mirror_view(std::uint64_t run, HealthMirrorView* view) const
-      LAGOVER_EXCLUDES(mutex_);
-
   /// The embedded bench-JSON health block (schema "lagover.health.v1"):
   /// run/convergence statistics over every completed run plus the last
   /// run's final sample. Finalizes the open run first.
@@ -272,62 +180,18 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
   static Json sample_to_json(const HealthSample& sample);
 
  private:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  void on_event(const EventRecord& record) LAGOVER_EXCLUDES(mutex_);
-  void apply_attach(std::uint32_t child, std::uint32_t parent)
-      LAGOVER_REQUIRES(mutex_);
-  void apply_detach(std::uint32_t child) LAGOVER_REQUIRES(mutex_);
-  void apply_offline(std::uint32_t node) LAGOVER_REQUIRES(mutex_);
-  void apply_online(std::uint32_t node) LAGOVER_REQUIRES(mutex_);
-  /// Re-roots `node`'s subtree: every member's depth shifts by
-  /// `depth_delta` and adopts `connected`. O(subtree) == O(changed).
-  void shift_subtree(std::uint32_t node, int depth_delta, bool connected)
-      LAGOVER_REQUIRES(mutex_);
-  void add_node_stats(std::uint32_t node) LAGOVER_REQUIRES(mutex_);
-  void remove_node_stats(std::uint32_t node) LAGOVER_REQUIRES(mutex_);
-  std::int64_t delay_of(std::uint32_t node) const LAGOVER_REQUIRES(mutex_);
-  HealthSample build_sample_locked(double t) LAGOVER_REQUIRES(mutex_);
   void emit_locked(const Json& line) LAGOVER_REQUIRES(mutex_);
   void end_run_locked() LAGOVER_REQUIRES(mutex_);
   /// Current per-subsystem counter totals from the metrics registry.
   static std::map<std::string, std::uint64_t> subsystem_totals();
 
   const Config config_;
-  EventBus<EventRecord>::SubscriptionId event_sub_ = 0;
 
   mutable Mutex mutex_;
   // --- run state ------------------------------------------------------
   std::uint64_t next_run_ LAGOVER_GUARDED_BY(mutex_) = 1;
   std::uint64_t run_ LAGOVER_GUARDED_BY(mutex_) = 0;  ///< 0 = no open run
-  // --- mirror forest (index = node id; 0 = source) --------------------
-  std::vector<int> fanout_ LAGOVER_GUARDED_BY(mutex_);
-  std::vector<int> latency_ LAGOVER_GUARDED_BY(mutex_);
-  std::vector<std::uint32_t> parent_ LAGOVER_GUARDED_BY(mutex_);
-  std::vector<std::vector<std::uint32_t>> children_ LAGOVER_GUARDED_BY(mutex_);
-  std::vector<int> depth_ LAGOVER_GUARDED_BY(mutex_);
-  std::vector<char> connected_ LAGOVER_GUARDED_BY(mutex_);
-  std::vector<char> online_ LAGOVER_GUARDED_BY(mutex_);
-  std::vector<std::uint32_t> walk_stack_ LAGOVER_GUARDED_BY(mutex_);
-  // --- incremental aggregates ----------------------------------------
-  std::vector<std::uint64_t> depth_counts_ LAGOVER_GUARDED_BY(mutex_);
-  std::int64_t depth_sum_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  SlackHist slack_counts_ LAGOVER_GUARDED_BY(mutex_);
-  /// Per-DelayAt slack histograms: the minimum slack among the deepest
-  /// consumers is one row scan at sample time, O(1) on the event path.
-  std::vector<SlackHist> slack_by_depth_ LAGOVER_GUARDED_BY(mutex_);
-  std::int64_t slack_sum_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t online_consumers_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t orphans_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t satisfied_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t edges_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t capacity_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t saturated_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  // --- per-round churn counters (reset at each sample) ----------------
-  std::uint64_t attaches_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t detaches_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t offlines_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  std::uint64_t onlines_ LAGOVER_GUARDED_BY(mutex_) = 0;
+  std::uint64_t nodes_ LAGOVER_GUARDED_BY(mutex_) = 0;
   // --- per-subsystem message baseline ---------------------------------
   std::map<std::string, std::uint64_t> message_base_
       LAGOVER_GUARDED_BY(mutex_);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/flags.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
@@ -76,6 +77,29 @@ TEST(FlagsTest, BoolSpellings) {
   EXPECT_TRUE(flags.get_bool("b", false));
   EXPECT_TRUE(flags.get_bool("c", false));
   EXPECT_FALSE(flags.get_bool("d", true));
+}
+
+TEST(FlagsTest, MalformedNumbersAreUsageErrors) {
+  const char* argv[] = {"prog", "--peers", "abc", "--rate=0.5x", "--seed="};
+  Flags flags(5, argv);
+  EXPECT_THROW(flags.get_int("peers", 0), InvalidArgument);
+  EXPECT_THROW(flags.get_double("rate", 0.0), InvalidArgument);
+  EXPECT_THROW(flags.get_int("seed", 1), InvalidArgument);
+  const char* big[] = {"prog", "--big=99999999999999999999"};
+  EXPECT_THROW(Flags(2, big).get_int("big", 0), InvalidArgument);
+  try {
+    flags.get_int("peers", 0);
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "--peers expects an integer, got 'abc'");
+  }
+}
+
+TEST(FlagsTest, ListsUnknownNames) {
+  const char* argv[] = {"prog", "--peers=3", "--zeta", "--alpha=1", "pos"};
+  Flags flags(5, argv);
+  EXPECT_EQ(flags.unknown({"peers"}),
+            (std::vector<std::string>{"alpha", "zeta"}));
+  EXPECT_TRUE(flags.unknown({"alpha", "peers", "zeta"}).empty());
 }
 
 TEST(JsonTest, ScalarsSerialize) {

@@ -2,6 +2,8 @@
 // delays, online state, attach/detach preconditions, audit invariants).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "core/overlay.hpp"
 
@@ -177,8 +179,40 @@ TEST(OverlayTest, CountersTrackMutations) {
   overlay.attach(1, kSourceId);
   overlay.attach(2, 1);
   overlay.detach(2);
+  overlay.set_offline(1);  // detaches 1 from the source
+  overlay.set_offline(1);  // already offline: not counted
+  overlay.set_online(1);
   EXPECT_EQ(overlay.counters().attaches, 2u);
-  EXPECT_EQ(overlay.counters().detaches, 1u);
+  EXPECT_EQ(overlay.counters().detaches, 2u);
+  EXPECT_EQ(overlay.counters().offlines, 1u);
+  EXPECT_EQ(overlay.counters().onlines, 1u);
+}
+
+TEST(OverlayTest, CopiesDropEdgeObserversAndMovesKeepThem) {
+  int calls = 0;
+  const auto count = [&calls](NodeId /*child*/, NodeId /*parent*/) {
+    ++calls;
+  };
+  Overlay overlay(small_population());
+  overlay.set_attach_observer(count);
+  overlay.set_detach_observer(count);
+  overlay.attach(1, kSourceId);
+  ASSERT_EQ(calls, 1);
+
+  Overlay copy(overlay);
+  Overlay assigned(small_population());
+  assigned.set_attach_observer(count);
+  assigned = overlay;
+  for (Overlay* target : {&copy, &assigned}) {
+    EXPECT_EQ(target->delay_at(1), 1);  // the index travels with the copy
+    target->attach(2, 1);
+    target->detach(2);
+  }
+  EXPECT_EQ(calls, 1);
+
+  Overlay moved(std::move(overlay));
+  moved.attach(2, 1);
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(OverlayTest, ValidateRejectsBadPopulations) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "common/rng.hpp"
 #include "core/async_engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "core/engine.hpp"
@@ -116,6 +118,128 @@ TEST_P(PipelineProperty, AsyncEngineAlsoConverges) {
   AsyncEngine engine(population(), config);
   EXPECT_TRUE(engine.run_until_converged(30000.0).has_value())
       << "async variant failed where sync succeeded";
+}
+
+// --- the overlay's index against chain-walk references ------------------
+//
+// Overlay answers Root, DelayAt, satisfaction, the counts and
+// can_attach's cycle test from an incrementally relabelled index. These
+// references answer them by walking parent links, as the index's
+// predecessor did.
+
+NodeId walk_root(const Overlay& overlay, NodeId id) {
+  while (overlay.parent(id) != kNoNode) id = overlay.parent(id);
+  return id;
+}
+
+Delay walk_delay(const Overlay& overlay, NodeId id) {
+  if (id == kSourceId) return 0;
+  Delay depth = 0;
+  for (NodeId cur = id; overlay.parent(cur) != kNoNode;
+       cur = overlay.parent(cur))
+    ++depth;
+  return walk_root(overlay, id) == kSourceId ? depth : depth + 1;
+}
+
+bool walk_satisfied(const Overlay& overlay, NodeId id) {
+  if (id == kSourceId) return true;
+  return overlay.online(id) && walk_root(overlay, id) == kSourceId &&
+         walk_delay(overlay, id) <= overlay.latency_of(id);
+}
+
+bool walk_can_attach(const Overlay& overlay, NodeId child, NodeId parent) {
+  if (child == kSourceId || child == parent) return false;
+  if (!overlay.online(child) || !overlay.online(parent)) return false;
+  if (overlay.has_parent(child) || overlay.free_fanout(parent) <= 0)
+    return false;
+  for (NodeId cur = parent; cur != kNoNode; cur = overlay.parent(cur))
+    if (cur == child) return false;  // parent lies in child's subtree
+  return true;
+}
+
+void expect_index_matches_walk(const Overlay& overlay, Rng& rng,
+                               const std::string& where) {
+  const std::size_t n = overlay.node_count();
+  std::size_t satisfied = 0;
+  std::size_t orphans = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    const NodeId root = walk_root(overlay, id);
+    ASSERT_EQ(overlay.root(id), root) << where << " node " << id;
+    ASSERT_EQ(overlay.connected(id), root == kSourceId)
+        << where << " node " << id;
+    ASSERT_EQ(overlay.delay_at(id), walk_delay(overlay, id))
+        << where << " node " << id;
+    ASSERT_EQ(overlay.satisfied(id), walk_satisfied(overlay, id))
+        << where << " node " << id;
+    if (id == kSourceId || !overlay.online(id)) continue;
+    if (walk_satisfied(overlay, id)) ++satisfied;
+    if (!overlay.has_parent(id)) ++orphans;
+  }
+  ASSERT_EQ(overlay.satisfied_count(), satisfied) << where;
+  ASSERT_EQ(overlay.all_satisfied(), satisfied == overlay.online_count())
+      << where;
+  ASSERT_EQ(overlay.orphan_count(), orphans) << where;
+  // can_attach from a few random children to every candidate parent.
+  for (int k = 0; k < 4; ++k) {
+    const auto child = static_cast<NodeId>(rng.next_below(n));
+    for (NodeId parent = 0; parent < n; ++parent)
+      ASSERT_EQ(overlay.can_attach(child, parent),
+                walk_can_attach(overlay, child, parent))
+          << where << " attach " << child << " <- " << parent;
+  }
+}
+
+// Seeded random attach / detach / offline / online sequences, with the
+// overlay copied and assigned partway through: after every operation
+// the index equals the chain-walk references.
+TEST_P(PipelineProperty, IndexMatchesChainWalkUnderRandomOperations) {
+  Rng rng(GetParam().seed);
+  Overlay overlay(population());
+  const std::size_t n = overlay.node_count();
+  const auto consumer = [&] {
+    return static_cast<NodeId>(1 + rng.next_below(n - 1));
+  };
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t kind = rng.next_below(10);
+    std::string op;
+    if (kind < 5) {  // attach the first of 20 random pairs allowed to
+      for (int tries = 0; tries < 20; ++tries) {
+        const NodeId child = consumer();
+        const auto parent = static_cast<NodeId>(rng.next_below(n));
+        if (!overlay.can_attach(child, parent)) continue;
+        overlay.attach(child, parent);
+        op = "attach " + std::to_string(child) + " <- " +
+             std::to_string(parent);
+        break;
+      }
+    } else if (kind < 7) {  // detach a random attached consumer
+      const NodeId start = consumer();
+      for (NodeId k = 0; k + 1 < n; ++k) {
+        const auto id = static_cast<NodeId>(1 + (start - 1 + k) % (n - 1));
+        if (!overlay.has_parent(id)) continue;
+        overlay.detach(id);
+        op = "detach " + std::to_string(id);
+        break;
+      }
+    } else if (kind == 7) {
+      const NodeId id = consumer();
+      overlay.set_offline(id);
+      op = "offline " + std::to_string(id);
+    } else if (kind == 8) {
+      const NodeId id = consumer();
+      overlay.set_online(id);
+      op = "online " + std::to_string(id);
+    } else {  // carry on from a copy, assigned over a fresh overlay
+      const Overlay copy(overlay);
+      overlay = Overlay(population());
+      overlay = copy;
+      op = "copy";
+    }
+    const std::string where = "step " + std::to_string(step) + " (" + op + ")";
+    expect_index_matches_walk(overlay, rng, where);
+    if (HasFatalFailure()) return;
+  }
+  overlay.audit();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, PipelineProperty,
