@@ -8,6 +8,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,13 +26,6 @@
 #include "workload/constraints.hpp"
 
 namespace lagover::bench {
-
-/// One flag a bench accepts: its --name and the placeholder the usage
-/// line shows for its value ("" for a bare switch).
-struct FlagSpec {
-  const char* name;
-  const char* arg;
-};
 
 /// The flags BenchOptions::parse reads (documented on BenchOptions).
 inline constexpr FlagSpec kBenchFlags[] = {
@@ -118,26 +112,12 @@ struct BenchOptions {
   /// which it reads itself; any other --name is a usage error.
   static BenchOptions parse(int argc, char** argv,
                             std::initializer_list<FlagSpec> extra = {}) {
-    const Flags flags(argc, argv);
-    std::vector<std::string> known;
-    std::string usage = "usage: ";
-    usage += argc > 0 ? argv[0] : "bench";
-    const auto accept = [&](const FlagSpec& spec) {
-      known.emplace_back(spec.name);
-      usage += std::string(" [--") + spec.name +
-               (*spec.arg != '\0' ? std::string(" ") + spec.arg : "") + "]";
-    };
-    for (const FlagSpec& spec : kBenchFlags) accept(spec);
-    for (const FlagSpec& spec : extra) accept(spec);
-    try {
-      const std::vector<std::string> unknown = flags.unknown(known);
-      if (!unknown.empty())
-        throw InvalidArgument("unknown flag --" + unknown.front());
+    std::vector<FlagSpec> specs(std::begin(kBenchFlags),
+                                std::end(kBenchFlags));
+    specs.insert(specs.end(), extra.begin(), extra.end());
+    return read_flags_or_exit(argc, argv, specs, [&](const Flags& flags) {
       return from_flags(flags, argc, argv);
-    } catch (const InvalidArgument& error) {
-      std::cerr << error.what() << '\n' << usage << '\n';
-      std::exit(2);
-    }
+    });
   }
 
  private:

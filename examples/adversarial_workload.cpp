@@ -4,6 +4,7 @@
 //
 //   $ ./adversarial_workload [--k N] [--seed S]
 #include <cstdio>
+#include <tuple>
 
 #include "common/flags.hpp"
 #include "core/engine.hpp"
@@ -12,9 +13,12 @@
 
 int main(int argc, char** argv) {
   using namespace lagover;
-  const Flags flags(argc, argv);
-  const int k = static_cast<int>(flags.get_int("k", 4));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  const auto [k, seed] = read_flags_or_exit(
+      argc, argv, {{"k", "N"}, {"seed", "S"}}, [](const Flags& flags) {
+        return std::tuple(
+            static_cast<int>(flags.get_int("k", 4)),
+            static_cast<std::uint64_t>(flags.get_int("seed", 3)));
+      });
 
   const Population population = adversarial_family(k);
   std::puts("adversarial instance (i_f^l notation):");

@@ -5,6 +5,7 @@
 //   $ ./churn_resilience [--peers N] [--seed S] [--rounds R]
 #include <cstdio>
 #include <memory>
+#include <tuple>
 
 #include "common/flags.hpp"
 #include "core/engine.hpp"
@@ -32,10 +33,14 @@ void print_sparkline(const std::vector<lagover::RoundStats>& history) {
 
 int main(int argc, char** argv) {
   using namespace lagover;
-  const Flags flags(argc, argv);
-  const auto peers = static_cast<std::size_t>(flags.get_int("peers", 120));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
-  const auto rounds = static_cast<Round>(flags.get_int("rounds", 600));
+  const auto [peers, seed, rounds] = read_flags_or_exit(
+      argc, argv, {{"peers", "N"}, {"seed", "S"}, {"rounds", "R"}},
+      [](const Flags& flags) {
+        return std::tuple(
+            static_cast<std::size_t>(flags.get_int("peers", 120)),
+            static_cast<std::uint64_t>(flags.get_int("seed", 11)),
+            static_cast<Round>(flags.get_int("rounds", 600)));
+      });
 
   WorkloadParams params;
   params.peers = peers;

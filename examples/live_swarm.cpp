@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <tuple>
 
 #include "common/flags.hpp"
 #include "feed/live.hpp"
@@ -15,10 +16,14 @@
 
 int main(int argc, char** argv) {
   using namespace lagover;
-  const Flags flags(argc, argv);
-  const auto peers = static_cast<std::size_t>(flags.get_int("peers", 120));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
-  const double p_leave = flags.get_double("p-leave", 0.01);
+  const auto [peers, seed, p_leave] = read_flags_or_exit(
+      argc, argv, {{"peers", "N"}, {"seed", "S"}, {"p-leave", "P"}},
+      [](const Flags& flags) {
+        return std::tuple(
+            static_cast<std::size_t>(flags.get_int("peers", 120)),
+            static_cast<std::uint64_t>(flags.get_int("seed", 17)),
+            flags.get_double("p-leave", 0.01));
+      });
 
   WorkloadParams params;
   params.peers = peers;

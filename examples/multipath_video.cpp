@@ -9,6 +9,7 @@
 //   $ ./multipath_video [--peers N] [--stripes K] [--seed S]
 #include <cstdio>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -18,10 +19,14 @@
 
 int main(int argc, char** argv) {
   using namespace lagover;
-  const Flags flags(argc, argv);
-  const auto peers = static_cast<std::size_t>(flags.get_int("peers", 90));
-  const int stripes = static_cast<int>(flags.get_int("stripes", 3));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
+  const auto [peers, stripes, seed] = read_flags_or_exit(
+      argc, argv, {{"peers", "N"}, {"stripes", "K"}, {"seed", "S"}},
+      [](const Flags& flags) {
+        return std::tuple(
+            static_cast<std::size_t>(flags.get_int("peers", 90)),
+            static_cast<int>(flags.get_int("stripes", 3)),
+            static_cast<std::uint64_t>(flags.get_int("seed", 21)));
+      });
 
   // Per-peer totals: an upload budget (total fanout, split across
   // stripes) and a playback deadline for stripe 0; stripe s tolerates

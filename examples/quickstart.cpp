@@ -8,6 +8,7 @@
 // Random-Delay oracle, and post-hoc tree metrics.
 #include <cstdio>
 #include <iostream>
+#include <tuple>
 
 #include "common/flags.hpp"
 #include "core/engine.hpp"
@@ -17,9 +18,12 @@
 
 int main(int argc, char** argv) {
   using namespace lagover;
-  const Flags flags(argc, argv);
-  const auto peers = static_cast<std::size_t>(flags.get_int("peers", 120));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const auto [peers, seed] = read_flags_or_exit(
+      argc, argv, {{"peers", "N"}, {"seed", "S"}}, [](const Flags& flags) {
+        return std::tuple(
+            static_cast<std::size_t>(flags.get_int("peers", 120)),
+            static_cast<std::uint64_t>(flags.get_int("seed", 42)));
+      });
 
   // 1. A population: every consumer declares a maximum fanout (how many
   //    children it will serve) and a latency constraint (max staleness

@@ -9,6 +9,7 @@
 // declared tolerance.
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 
 #include "baseline/polling.hpp"
 #include "common/flags.hpp"
@@ -18,10 +19,14 @@
 
 int main(int argc, char** argv) {
   using namespace lagover;
-  const Flags flags(argc, argv);
-  const auto peers = static_cast<std::size_t>(flags.get_int("peers", 120));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const double publish_period = flags.get_double("publish-period", 3.0);
+  const auto [peers, seed, publish_period] = read_flags_or_exit(
+      argc, argv, {{"peers", "N"}, {"seed", "S"}, {"publish-period", "T"}},
+      [](const Flags& flags) {
+        return std::tuple(
+            static_cast<std::size_t>(flags.get_int("peers", 120)),
+            static_cast<std::uint64_t>(flags.get_int("seed", 7)),
+            flags.get_double("publish-period", 3.0));
+      });
 
   WorkloadParams params;
   params.peers = peers;

@@ -1,7 +1,6 @@
 #include "baseline/polling.hpp"
 
-#include <functional>
-#include <memory>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,6 +17,29 @@ AllPollAnalysis analyze_all_poll(const Population& population) {
   return analysis;
 }
 
+namespace {
+
+/// One consumer's poll loop: pulls everything new, then schedules a copy
+/// of itself one period later.
+struct PollLoop {
+  Simulator* sim;
+  feed::FeedSource* source;
+  feed::StalenessTracker* tracker;
+  std::vector<std::uint64_t>* last_pulled;
+  NodeId id;
+  double period;
+
+  void operator()() const {
+    for (const feed::FeedItem& item : source->pull((*last_pulled)[id])) {
+      (*last_pulled)[id] = item.seq;
+      tracker->record(id, item, sim->now());
+    }
+    sim->schedule_after(period, *this);
+  }
+};
+
+}  // namespace
+
 feed::DisseminationReport run_all_poll(
     const Population& population, const feed::DisseminationConfig& config,
     SimTime duration) {
@@ -29,27 +51,11 @@ feed::DisseminationReport run_all_poll(
   std::vector<std::uint64_t> last_pulled(population.consumers.size() + 1, 0);
 
   source.start();
-  // The loop bodies must not own themselves (a shared_ptr captured by
-  // the function it points to never dies); this vector is the owner and
-  // the lambdas hold weak references.
-  std::vector<std::shared_ptr<std::function<void()>>> loops;
-  loops.reserve(population.consumers.size());
   for (const NodeSpec& spec : population.consumers) {
     const double period = static_cast<double>(spec.constraints.latency);
     const double phase = rng.uniform_real(0.0, period);
-    const NodeId id = spec.id;
-    // Self-rescheduling poll loop per consumer.
-    auto poll = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = poll;
-    *poll = [&sim, &source, &tracker, &last_pulled, id, period, weak] {
-      for (const feed::FeedItem& item : source.pull(last_pulled[id])) {
-        last_pulled[id] = item.seq;
-        tracker.record(id, item, sim.now());
-      }
-      if (auto self = weak.lock()) sim.schedule_after(period, *self);
-    };
-    sim.schedule_after(phase, *poll);
-    loops.push_back(std::move(poll));
+    sim.schedule_after(phase, PollLoop{&sim, &source, &tracker,
+                                       &last_pulled, spec.id, period});
   }
 
   sim.run_until(duration);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <iostream>
 
 #include "common/error.hpp"
 
@@ -75,6 +76,30 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::uint64_t parse_uint(const std::string& text, std::uint64_t max,
+                         const std::string& what) {
+  errno = 0;
+  const std::uint64_t value = std::strtoull(text.c_str(), nullptr, 10);
+  const bool malformed =
+      text.empty() || text.find_first_not_of("0123456789") != text.npos;
+  if (malformed || errno == ERANGE || value > max)
+    throw InvalidArgument(what + " expects an integer in [0, " +
+                          std::to_string(max) + "], got '" + text + "'");
+  return value;
+}
+
+void exit_usage(const std::string& error, const char* program,
+                const std::vector<FlagSpec>& specs) {
+  std::string usage = std::string("usage: ") + program;
+  for (const FlagSpec& spec : specs) {
+    usage += std::string(" [--") + spec.name;
+    if (*spec.arg != '\0') usage += std::string(" ") + spec.arg;
+    usage += "]";
+  }
+  std::cerr << error << '\n' << usage << '\n';
+  std::exit(2);
 }
 
 std::vector<std::string> Flags::unknown(

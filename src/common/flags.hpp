@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace lagover {
 
 /// Parses argv into a name->value map. Unknown positional arguments are
@@ -36,5 +38,43 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// One flag a program accepts: its --name and the placeholder its usage
+/// line shows for the value ("" for a bare switch).
+struct FlagSpec {
+  const char* name;
+  const char* arg;
+};
+
+/// Parses the whole of `text` as a decimal integer in [0, max]: no sign,
+/// space or trailing characters. Throws InvalidArgument naming `what`
+/// otherwise (for positional arguments; flags use Flags::get_int).
+std::uint64_t parse_uint(const std::string& text, std::uint64_t max,
+                         const std::string& what);
+
+/// Prints `error` and "usage: <program> [--name ARG]..." for `specs` to
+/// stderr and exits with status 2.
+[[noreturn]] void exit_usage(const std::string& error, const char* program,
+                             const std::vector<FlagSpec>& specs);
+
+/// Reads a program's options with `read(flags)`. A --name outside
+/// `specs`, or an InvalidArgument from `read` (a getter given a
+/// malformed value), ends the process through exit_usage.
+template <typename Read>
+auto read_flags_or_exit(int argc, const char* const* argv,
+                        const std::vector<FlagSpec>& specs, Read read) {
+  const char* program = argc > 0 ? argv[0] : "";
+  const Flags flags(argc, argv);
+  try {
+    std::vector<std::string> known;
+    for (const FlagSpec& spec : specs) known.emplace_back(spec.name);
+    const std::vector<std::string> unknown = flags.unknown(known);
+    if (!unknown.empty())
+      throw InvalidArgument("unknown flag --" + unknown.front());
+    return read(flags);
+  } catch (const InvalidArgument& error) {
+    exit_usage(error.what(), program, specs);
+  }
+}
 
 }  // namespace lagover

@@ -73,6 +73,10 @@ class Dissemination {
       }
     }
     sim_.run_until(duration);
+    // The run's message counters, once per run for both entry points;
+    // feed.push_messages is registered only when nonzero.
+    if (push_messages_ != 0) TELEM_COUNT("feed.push_messages", push_messages_);
+    TELEM_COUNT("feed.source_requests", source_.requests());
   }
 
   DisseminationReport ideal_report(SimTime duration) const {
@@ -346,15 +350,18 @@ class Dissemination {
   /// the budget runs out it is the children with the most slack l_i
   /// (who can absorb staleness) that get shed; ties break by id, so the
   /// order — and everything downstream of it — stays deterministic.
-  std::vector<NodeId> forward_targets(NodeId node) const {
-    std::vector<NodeId> order;
+  /// The result lives in `targets_`, one buffer reused for every relay:
+  /// forward() reads it before anything else can refill it.
+  const std::vector<NodeId>& forward_targets(NodeId node) {
+    targets_.clear();
     for (NodeId child : overlay_.children(node))
-      if (overlay_.online(child)) order.push_back(child);
-    if (!capacity().empty() && capacity().shedding && order.size() > 1)
-      std::stable_sort(order.begin(), order.end(), [this](NodeId a, NodeId b) {
-        return overlay_.latency_of(a) < overlay_.latency_of(b);
-      });
-    return order;
+      if (overlay_.online(child)) targets_.push_back(child);
+    if (!capacity().empty() && capacity().shedding && targets_.size() > 1)
+      std::stable_sort(targets_.begin(), targets_.end(),
+                       [this](NodeId a, NodeId b) {
+                         return overlay_.latency_of(a) < overlay_.latency_of(b);
+                       });
+    return targets_;
   }
 
   /// Releases `child`'s pending-queue slot when a forward lands.
@@ -382,16 +389,16 @@ class Dissemination {
       // high-water mark and NACK exactly the missing numbers — but only
       // when there is something to ask for. Identical repair set to the
       // blanket pull, strictly fewer repair messages.
-      std::vector<std::uint64_t> gaps;
+      gaps_.clear();
       for (std::uint64_t seq = 1; seq < parent_got.size(); ++seq)
-        if (parent_got[seq] != 0 && !has(node, seq)) gaps.push_back(seq);
-      if (!gaps.empty()) {
+        if (parent_got[seq] != 0 && !has(node, seq)) gaps_.push_back(seq);
+      if (!gaps_.empty()) {
         ++recovery_pulls_;
-        nacked_items_ += gaps.size();
+        nacked_items_ += gaps_.size();
         const std::uint32_t hop =
             static_cast<std::uint32_t>(overlay_.delay_at(node));
         const SimTime sent_at = sim_.now();
-        for (const std::uint64_t seq : gaps) {
+        for (const std::uint64_t seq : gaps_) {
           const FeedItem item = source_.items()[seq - 1];
           sim_.schedule_after(config_.base.hop_delay,
                               [this, node, item, parent, hop, sent_at] {
@@ -428,6 +435,10 @@ class Dissemination {
   Rng rng_;
   std::vector<std::uint64_t> last_pulled_;
   std::vector<Receipts> receipts_;  // [node]
+  /// Scratch buffers, reused across calls: forward_targets' result and
+  /// recover's missing sequence numbers.
+  std::vector<NodeId> targets_;
+  std::vector<std::uint64_t> gaps_;
   std::size_t pollers_ = 0;
   std::uint64_t push_messages_ = 0;
   std::uint64_t pushed_ = 0;
@@ -460,16 +471,12 @@ DisseminationReport run_dissemination(const Overlay& overlay,
   Dissemination dissemination(overlay, ideal, config.seed ^ 0xFEEDULL);
   dissemination.run(duration);
   DisseminationReport report = dissemination.ideal_report(duration);
-  // The feed counters, once per run from the report totals;
-  // feed.deliveries and feed.push_messages are registered only when
-  // nonzero.
+  // The ideal run's delivery counters, once per run from the report
+  // totals; feed.deliveries is registered only when nonzero.
   std::uint64_t deliveries = 0;
   for (const NodeDeliveryStats& node : report.nodes) deliveries += node.items;
   if (deliveries != 0) TELEM_COUNT("feed.deliveries", deliveries);
-  if (report.push_messages != 0)
-    TELEM_COUNT("feed.push_messages", report.push_messages);
   TELEM_COUNT("feed.items_published", report.items_published);
-  TELEM_COUNT("feed.source_requests", report.source_requests);
   return report;
 }
 

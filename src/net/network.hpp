@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -194,28 +195,51 @@ class LAGOVER_THREAD_HOSTILE Network {
     return true;
   }
 
+  /// In-flight messages wait in `parcels_`, and the delivery event
+  /// carries only the parcel's index: a payload of any size rides the
+  /// simulator's inline actions, and a parcel slot is reused once its
+  /// message lands.
   void schedule_delivery(Address from, Address to, Message message,
                          std::size_t size_bytes, double delay) {
-    sim_.schedule_after(
-        delay, [this, from, to, message = std::move(message), size_bytes] {
-          if (capacity_.queue_limit != 0) {
-            auto& depth = in_flight_[to];
-            if (depth > 0) --depth;
-            TELEM_GAUGE("net.queue_depth", static_cast<double>(depth));
-          }
-          const auto it = handlers_.find(to);
-          if (it == handlers_.end()) {
-            ++dropped_;
-            TELEM_COUNT("net.dropped_dead", 1);
-            return;
-          }
-          auto& received = counters_[to];
-          ++received.messages_received;
-          received.bytes_received += size_bytes;
-          TELEM_COUNT("net.messages_delivered", 1);
-          it->second(from, message);
-        });
+    Parcel parcel{from, to, std::move(message), size_bytes};
+    std::size_t index = parcels_.size();
+    if (free_parcels_.empty()) {
+      parcels_.push_back(std::move(parcel));
+    } else {
+      index = free_parcels_.back();
+      free_parcels_.pop_back();
+      parcels_[index] = std::move(parcel);
+    }
+    sim_.schedule_after(delay, [this, index] { deliver(index); });
   }
+
+  void deliver(std::size_t index) {
+    const Parcel parcel = std::move(parcels_[index]);
+    free_parcels_.push_back(index);
+    if (capacity_.queue_limit != 0) {
+      auto& depth = in_flight_[parcel.to];
+      if (depth > 0) --depth;
+      TELEM_GAUGE("net.queue_depth", static_cast<double>(depth));
+    }
+    const auto it = handlers_.find(parcel.to);
+    if (it == handlers_.end()) {
+      ++dropped_;
+      TELEM_COUNT("net.dropped_dead", 1);
+      return;
+    }
+    auto& received = counters_[parcel.to];
+    ++received.messages_received;
+    received.bytes_received += parcel.size_bytes;
+    TELEM_COUNT("net.messages_delivered", 1);
+    it->second(parcel.from, parcel.message);
+  }
+
+  struct Parcel {
+    Address from;
+    Address to;
+    Message message;
+    std::size_t size_bytes;
+  };
 
   Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
@@ -239,6 +263,8 @@ class LAGOVER_THREAD_HOSTILE Network {
   std::uint64_t fault_duplicated_ = 0;
   std::uint64_t shed_ = 0;
   std::uint64_t queue_dropped_ = 0;
+  std::vector<Parcel> parcels_;
+  std::vector<std::size_t> free_parcels_;
 };
 
 /// Builds a FaultFilter from any object exposing deliver/extra_latency/

@@ -14,7 +14,10 @@
 // autodetected.
 #include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/flags.hpp"
 #include "tools/inspect.hpp"
@@ -107,10 +110,60 @@ int run_laggards(const Bundle& bundle, std::uint64_t item) {
   return 0;
 }
 
+/// A query and its arguments, checked before the dump is read.
+struct Query {
+  std::string name;
+  std::uint64_t item = 0;
+  NodeId node = 0;
+  double at = 0.0;
+};
+
+/// The query after <dump>, or nullopt when its arguments have the wrong
+/// shape. Throws InvalidArgument on an unknown flag or a malformed
+/// number: every number must be all digits and in range.
+std::optional<Query> parse_query(const Flags& flags) {
+  const std::vector<std::string> unknown = flags.unknown({"at", "self-check"});
+  if (!unknown.empty())
+    throw lagover::InvalidArgument("unknown flag --" + unknown.front());
+  const auto& args = flags.positional();
+  if (args.size() < 2) return std::nullopt;
+  Query query{args[1]};
+  const auto item = [&](std::size_t i) {
+    return lagover::parse_uint(
+        args[i], std::numeric_limits<std::uint64_t>::max(), "<item>");
+  };
+  const auto node = [&](std::size_t i) {
+    return static_cast<NodeId>(
+        lagover::parse_uint(args[i], lagover::kNoNode, "<node>"));
+  };
+  if (query.name == "path" && args.size() == 4) {
+    query.item = item(2);
+    query.node = node(3);
+  } else if (query.name == "ancestry" && args.size() == 3 &&
+             flags.has("at")) {
+    query.node = node(2);
+    query.at = flags.get_double("at", 0.0);
+  } else if (query.name == "laggards" && args.size() <= 3) {
+    if (args.size() == 3) query.item = item(2);
+  } else if (query.name == "timeline" && args.size() == 3) {
+    query.node = node(2);
+  } else if (query.name != "health" && query.name != "summary") {
+    return std::nullopt;
+  }
+  return query;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
+  std::optional<Query> query;
+  try {
+    query = parse_query(flags);
+  } catch (const lagover::InvalidArgument& error) {
+    std::cerr << "lagover_inspect: " << error.what() << '\n';
+    return usage();
+  }
   if (flags.get_bool("self-check", false)) {
     std::string error;
     if (self_check(&error)) {
@@ -120,42 +173,27 @@ int main(int argc, char** argv) {
     std::cerr << "lagover_inspect self-check FAILED: " << error << '\n';
     return 1;
   }
-
-  const auto& positional = flags.positional();
-  if (positional.size() < 2) return usage();
+  if (!query.has_value()) return usage();
 
   Bundle bundle;
   std::string error;
-  if (!load_bundle(positional[0], bundle, &error)) {
+  if (!load_bundle(flags.positional()[0], bundle, &error)) {
     std::cerr << "lagover_inspect: " << error << '\n';
     return 1;
   }
 
-  const std::string& query = positional[1];
-  if (query == "path" && positional.size() == 4)
-    return run_path(bundle,
-                    static_cast<std::uint64_t>(std::stoull(positional[2])),
-                    static_cast<NodeId>(std::stoul(positional[3])));
-  if (query == "ancestry" && positional.size() == 3 && flags.has("at"))
-    return run_ancestry(bundle,
-                        static_cast<NodeId>(std::stoul(positional[2])),
-                        flags.get_double("at", 0.0));
-  if (query == "laggards" && positional.size() <= 3)
-    return run_laggards(bundle, positional.size() == 3
-                                    ? std::stoull(positional[2])
-                                    : 0);
-  if (query == "timeline" && positional.size() == 3) {
-    std::cout << timeline(bundle,
-                          static_cast<NodeId>(std::stoul(positional[2])));
+  if (query->name == "path") return run_path(bundle, query->item, query->node);
+  if (query->name == "ancestry")
+    return run_ancestry(bundle, query->node, query->at);
+  if (query->name == "laggards") return run_laggards(bundle, query->item);
+  if (query->name == "timeline") {
+    std::cout << timeline(bundle, query->node);
     return 0;
   }
-  if (query == "health") {
+  if (query->name == "health") {
     std::cout << health_report(bundle);
     return bundle.health.empty() ? 1 : 0;
   }
-  if (query == "summary") {
-    std::cout << summary(bundle);
-    return 0;
-  }
-  return usage();
+  std::cout << summary(bundle);
+  return 0;
 }

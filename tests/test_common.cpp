@@ -2,6 +2,8 @@
 // levels, and notation helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,6 +102,35 @@ TEST(FlagsTest, ListsUnknownNames) {
   EXPECT_EQ(flags.unknown({"peers"}),
             (std::vector<std::string>{"alpha", "zeta"}));
   EXPECT_TRUE(flags.unknown({"alpha", "peers", "zeta"}).empty());
+}
+
+TEST(FlagsTest, ParseUintTakesOnlyDigitsInRange) {
+  EXPECT_EQ(parse_uint("0", 10, "<n>"), 0u);
+  EXPECT_EQ(parse_uint("42", 42, "<n>"), 42u);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_uint("18446744073709551615", kMax, "<n>"), kMax);
+  for (const char* bad : {"", "-5x", "-1", "+5", " 5", "5 ", "0x10", "3x",
+                          "18446744073709551616", "43"})
+    EXPECT_THROW(parse_uint(bad, 42, "<n>"), InvalidArgument) << bad;
+  try {
+    parse_uint("abc", 7, "<node>");
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(),
+                 "<node> expects an integer in [0, 7], got 'abc'");
+  }
+}
+
+TEST(FlagsDeathTest, ReadFlagsOrExitGivesUsageAndStatusTwo) {
+  const char* unknown[] = {"prog", "--seed=3", "--bogus"};
+  const char* malformed[] = {"prog", "--seed=abc"};
+  const auto read = [](const Flags& flags) { return flags.get_int("seed", 1); };
+  EXPECT_EXIT(read_flags_or_exit(3, unknown, {{"seed", "S"}}, read),
+              testing::ExitedWithCode(2),
+              "unknown flag --bogus\nusage: prog");
+  EXPECT_EXIT(read_flags_or_exit(2, malformed, {{"seed", "S"}}, read),
+              testing::ExitedWithCode(2), "--seed expects an integer");
+  const char* good[] = {"prog", "--seed=3"};
+  EXPECT_EQ(read_flags_or_exit(2, good, {{"seed", "S"}}, read), 3);
 }
 
 TEST(JsonTest, ScalarsSerialize) {
