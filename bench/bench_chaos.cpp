@@ -93,7 +93,6 @@ int run(int argc, char** argv) {
           flight_sub = attach_flight_recorder(engine.audit_bus(), *flight);
         }
         RecoveryRecorder recorder(engine.overlay(), plan);
-        recorder.subscribe(engine.trace_bus());
         engine.set_sampler(1.0, [&](SimTime t) {
           recorder.sample(t);
           if (flight != nullptr)

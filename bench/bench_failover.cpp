@@ -109,7 +109,7 @@ int run(int argc, char** argv) {
         flight->set_fault_plan(failover_plan().to_string());
         flight_sub = attach_flight_recorder(engine.audit_bus(), *flight);
       }
-      metrics::FailoverRecorder recorder(engine.overlay());
+      metrics::FailoverRecorder recorder(engine.overlay().node_count());
       recorder.subscribe(engine.trace_bus());
       // Epoch-consistency audit on a steady cadence: a single stale
       // -epoch attachment anywhere in the run fails the bench.

@@ -46,7 +46,7 @@ int run(int argc, char** argv) {
   Engine engine(toy_population(), config);
 
   std::uint64_t maintenance_events = 0;
-  engine.set_trace([&](const TraceEvent& event) {
+  engine.trace_bus().subscribe([&](const TraceEvent& event) {
     if (event.type == TraceEventType::kMaintenanceDetach) {
       ++maintenance_events;
       std::printf("round %llu: node %u discards its parent "

@@ -9,11 +9,18 @@
 //             [--snapshot FILE]        build a LagOver, report, save
 //   validate  --snapshot FILE          diagnose a saved overlay
 //   disseminate --snapshot FILE [--duration T] [--push-source]
+//             [--publish-period P] [--seed S]
 //             replay feed items over a saved overlay, report staleness
 //
-// Exit code 0 = success/converged/feasible; 1 otherwise.
+// Each subcommand takes exactly the flags listed for it.
+// Exit code 0 = success/converged/feasible; 1 = the run did not succeed
+// (not converged, infeasible, violations, unreadable input); 2 = usage
+// error (unknown subcommand or flag, malformed value).
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/flags.hpp"
 #include "core/engine.hpp"
@@ -50,14 +57,61 @@ OracleKind parse_oracle(const std::string& name) {
   throw InvalidArgument("unknown oracle (use o1|o2a|o2b|o3): " + name);
 }
 
-int cmd_generate(const Flags& flags) {
-  WorkloadParams params;
-  params.peers = static_cast<std::size_t>(flags.get_int("peers", 120));
-  params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const Population population =
-      generate_workload(parse_kind(flags.get_string("kind", "rand")), params);
+AlgorithmKind parse_algorithm(const std::string& name) {
+  if (name == "greedy") return AlgorithmKind::kGreedy;
+  if (name == "hybrid") return AlgorithmKind::kHybrid;
+  throw InvalidArgument("unknown algorithm (use greedy|hybrid): " + name);
+}
+
+/// --name as an integer in [min, max]; a usage error otherwise.
+std::int64_t get_int_in(const Flags& flags, const char* name,
+                        std::int64_t fallback, std::int64_t min,
+                        std::int64_t max) {
+  const std::int64_t value = flags.get_int(name, fallback);
+  if (value < min || value > max)
+    throw InvalidArgument("--" + std::string(name) + " must be in [" +
+                          std::to_string(min) + ", " + std::to_string(max) +
+                          "]");
+  return value;
+}
+
+/// --name as a number > 0; a usage error otherwise.
+double get_positive(const Flags& flags, const char* name, double fallback) {
+  const double value = flags.get_double(name, fallback);
+  if (!(value > 0.0))
+    throw InvalidArgument("--" + std::string(name) + " must be > 0");
+  return value;
+}
+
+/// argv of one subcommand: argv[0] is "lagover_cli <command>", so its
+/// usage line names both.
+using Args = const char* const*;
+
+/// The one flag of check / validate, which take a single FILE.
+std::string read_file_flag(int argc, Args argv, const char* name) {
+  return read_flags_or_exit(argc, argv, {{name, "FILE"}},
+                            [name](const Flags& flags) {
+                              return flags.get_string(name, "");
+                            });
+}
+
+int cmd_generate(int argc, Args argv) {
+  const auto [kind, params, out] = read_flags_or_exit(
+      argc, argv,
+      {{"kind", "tf1|rand|bicorr|biuncorr"},
+       {"peers", "N"},
+       {"seed", "S"},
+       {"out", "FILE"}},
+      [](const Flags& flags) {
+        WorkloadParams params;
+        params.peers = static_cast<std::size_t>(
+            get_int_in(flags, "peers", 120, 1, std::int64_t{1} << 20));
+        params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+        return std::tuple(parse_kind(flags.get_string("kind", "rand")), params,
+                          flags.get_string("out", ""));
+      });
+  const Population population = generate_workload(kind, params);
   const std::string text = to_population_text(population);
-  const std::string out = flags.get_string("out", "");
   if (out.empty()) {
     std::cout << text;
   } else if (!save_population(population, out)) {
@@ -67,9 +121,9 @@ int cmd_generate(const Flags& flags) {
   return 0;
 }
 
-int cmd_check(const Flags& flags) {
+int cmd_check(int argc, Args argv) {
   const Population population =
-      load_population(flags.get_string("population", ""));
+      load_population(read_file_flag(argc, argv, "population"));
   const auto report = sufficiency_condition(population);
   std::cout << "consumers: " << population.size()
             << ", source fanout: " << population.source_fanout << '\n';
@@ -83,18 +137,30 @@ int cmd_check(const Flags& flags) {
   return feasible ? 0 : 1;
 }
 
-int cmd_construct(const Flags& flags) {
-  const Population population =
-      load_population(flags.get_string("population", ""));
-  EngineConfig config;
-  config.algorithm = flags.get_string("algorithm", "hybrid") == "greedy"
-                         ? AlgorithmKind::kGreedy
-                         : AlgorithmKind::kHybrid;
-  config.oracle = parse_oracle(flags.get_string("oracle", "o3"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  Engine engine(population, config);
-  const auto converged = engine.run_until_converged(
-      static_cast<Round>(flags.get_int("max-rounds", 5000)));
+int cmd_construct(int argc, Args argv) {
+  const auto [population_path, config, max_rounds, snapshot_path] =
+      read_flags_or_exit(
+          argc, argv,
+          {{"population", "FILE"},
+           {"algorithm", "greedy|hybrid"},
+           {"oracle", "o1|o2a|o2b|o3"},
+           {"seed", "S"},
+           {"max-rounds", "R"},
+           {"snapshot", "FILE"}},
+          [](const Flags& flags) {
+            EngineConfig config;
+            config.algorithm =
+                parse_algorithm(flags.get_string("algorithm", "hybrid"));
+            config.oracle = parse_oracle(flags.get_string("oracle", "o3"));
+            config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+            return std::tuple(flags.get_string("population", ""), config,
+                              static_cast<Round>(get_int_in(
+                                  flags, "max-rounds", 5000, 0,
+                                  std::int64_t{1} << 40)),
+                              flags.get_string("snapshot", ""));
+          });
+  Engine engine(load_population(population_path), config);
+  const auto converged = engine.run_until_converged(max_rounds);
 
   if (converged.has_value())
     std::cout << "converged in " << *converged << " rounds\n";
@@ -102,7 +168,6 @@ int cmd_construct(const Flags& flags) {
     std::cout << "did not converge\n"
               << validate_overlay(engine.overlay()).to_string();
 
-  const std::string snapshot_path = flags.get_string("snapshot", "");
   if (!snapshot_path.empty()) {
     std::ofstream out(snapshot_path);
     if (!out) {
@@ -115,8 +180,8 @@ int cmd_construct(const Flags& flags) {
   return converged.has_value() ? 0 : 1;
 }
 
-int cmd_validate(const Flags& flags) {
-  std::ifstream in(flags.get_string("snapshot", ""));
+int cmd_validate(int argc, Args argv) {
+  std::ifstream in(read_file_flag(argc, argv, "snapshot"));
   if (!in) {
     std::cerr << "cannot read snapshot\n";
     return 1;
@@ -127,18 +192,29 @@ int cmd_validate(const Flags& flags) {
   return report.converged() ? 0 : 1;
 }
 
-int cmd_disseminate(const Flags& flags) {
-  std::ifstream in(flags.get_string("snapshot", ""));
+int cmd_disseminate(int argc, Args argv) {
+  const auto [snapshot_path, config, duration] = read_flags_or_exit(
+      argc, argv,
+      {{"snapshot", "FILE"},
+       {"duration", "T"},
+       {"push-source", ""},
+       {"publish-period", "P"},
+       {"seed", "S"}},
+      [](const Flags& flags) {
+        feed::DisseminationConfig config;
+        config.push_source = flags.get_bool("push-source", false);
+        config.source.publish_period =
+            get_positive(flags, "publish-period", 3.0);
+        config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+        return std::tuple(flags.get_string("snapshot", ""), config,
+                          get_positive(flags, "duration", 200.0));
+      });
+  std::ifstream in(snapshot_path);
   if (!in) {
     std::cerr << "cannot read snapshot\n";
     return 1;
   }
   const Overlay overlay = read_snapshot(in);
-  feed::DisseminationConfig config;
-  config.push_source = flags.get_bool("push-source", false);
-  config.source.publish_period = flags.get_double("publish-period", 3.0);
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto duration = flags.get_double("duration", 200.0);
   const auto report = feed::run_dissemination(overlay, config, duration);
   std::cout << "published " << report.items_published << " items over "
             << duration << " time units\n"
@@ -152,13 +228,16 @@ int cmd_disseminate(const Flags& flags) {
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Flags flags(argc - 1, argv + 1);
+  const std::string program = "lagover_cli " + command;
+  std::vector<const char*> args(argv + 1, argv + argc);
+  args[0] = program.c_str();
+  const int count = static_cast<int>(args.size());
   try {
-    if (command == "generate") return cmd_generate(flags);
-    if (command == "check") return cmd_check(flags);
-    if (command == "construct") return cmd_construct(flags);
-    if (command == "validate") return cmd_validate(flags);
-    if (command == "disseminate") return cmd_disseminate(flags);
+    if (command == "generate") return cmd_generate(count, args.data());
+    if (command == "check") return cmd_check(count, args.data());
+    if (command == "construct") return cmd_construct(count, args.data());
+    if (command == "validate") return cmd_validate(count, args.data());
+    if (command == "disseminate") return cmd_disseminate(count, args.data());
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;

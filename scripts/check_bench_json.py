@@ -507,6 +507,33 @@ def check_span_line(path, i, record):
             fail(path, f"line {i}: receipt span with hop < 1")
 
 
+# The TraceEvent kinds (src/telemetry/telemetry.hpp): the protocol kinds
+# a node's step emits, then the four structural kinds an overlay
+# mutation emits.
+EVENT_TYPES = {
+    "churn_leave", "churn_join", "maintenance_detach", "source_contact",
+    "interaction", "oracle_empty", "interaction_failed",
+    "source_contact_failed", "parent_lost", "crash", "rejoin",
+    "epoch_fenced", "failover_attach", "parent_quarantined",
+    "edge_attach", "edge_detach", "node_offline", "node_online",
+}
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_event_line(path, i, record):
+    for key in ("ts", "type", "node"):
+        if key not in record:
+            fail(path, f"line {i}: event missing '{key}'")
+    if record["type"] not in EVENT_TYPES:
+        fail(path, f"line {i}: unknown event type {record['type']!r}")
+    for key in ("node", "partner"):
+        if key in record and not is_int(record[key]):
+            fail(path, f"line {i}: event '{key}' is not an integer")
+
+
 def check_postmortem(path, doc):
     if doc.get("schema") != "lagover.postmortem.v1":
         fail(path, f"schema is {doc.get('schema')!r}")
@@ -519,6 +546,8 @@ def check_postmortem(path, doc):
             fail(path, f"repro missing '{key}'")
     if not isinstance(doc["repro"]["seed"], int):
         fail(path, "repro seed is not an integer")
+    for i, event in enumerate(doc["events"], 1):
+        check_event_line(path, i, event)
     for i, span in enumerate(doc["spans"], 1):
         check_span_line(path, i, span)
     for i, snapshot in enumerate(doc["snapshots"], 1):
@@ -575,9 +604,7 @@ def check_jsonl(path, text):
             fail(path, f"line {i}: invalid JSON ({err})")
         kind = record.get("kind")
         if kind == "event":
-            for key in ("ts", "type", "node"):
-                if key not in record:
-                    fail(path, f"line {i}: event missing '{key}'")
+            check_event_line(path, i, record)
         elif kind == "log":
             for key in ("ts", "level", "message"):
                 if key not in record:

@@ -43,6 +43,8 @@ class Json {
   bool is_number() const noexcept {
     return kind_ == Kind::kNumber || kind_ == Kind::kInteger;
   }
+  /// An integer token within int64 range ("3", not "3.0" or "1e3").
+  bool is_integer() const noexcept { return kind_ == Kind::kInteger; }
   bool is_string() const noexcept { return kind_ == Kind::kString; }
   bool is_array() const noexcept { return kind_ == Kind::kArray; }
   bool is_object() const noexcept { return kind_ == Kind::kObject; }

@@ -70,12 +70,6 @@ void AsyncEngine::set_sampler(double period,
       period, [this, sampler = std::move(sampler)] { sampler(sim_.now()); });
 }
 
-TraceBus::SubscriptionId AsyncEngine::set_trace(
-    std::function<void(const TraceEvent&)> trace) {
-  LAGOVER_EXPECTS(!started_);
-  return runtime_.swap_trace(std::move(trace));
-}
-
 void AsyncEngine::apply_churn() {
   if (!churn_) return;
   runtime_.advance_to(sim_.now());

@@ -110,11 +110,7 @@ class LAGOVER_THREAD_HOSTILE AsyncEngine {
   /// starts. Must be called before the first run.
   void set_sampler(double period, std::function<void(SimTime)> sampler);
 
-  /// Installs a trace observer (nullptr to disable): a named
-  /// subscription on trace_bus() that a later call replaces (see
-  /// NodeRuntime::swap_trace). Must be called before the first run.
-  TraceBus::SubscriptionId set_trace(
-      std::function<void(const TraceEvent&)> trace);
+  /// The run's event stream (NodeRuntime::trace_bus).
   TraceBus& trace_bus() noexcept { return runtime_.trace_bus(); }
   /// Audits run once per simulated time unit in LAGOVER_AUDIT builds.
   AuditBus& audit_bus() noexcept { return runtime_.audit_bus(); }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -88,13 +87,7 @@ class LAGOVER_THREAD_HOSTILE Engine {
   /// Installs a churn model; nullptr disables churn.
   void set_churn(std::unique_ptr<ChurnModel> churn);
 
-  /// Installs a trace observer (nullptr to disable): a named
-  /// subscription on trace_bus() that a later call replaces (see
-  /// NodeRuntime::swap_trace). Returns the new subscription id.
-  TraceBus::SubscriptionId set_trace(
-      std::function<void(const TraceEvent&)> trace) {
-    return runtime_.swap_trace(std::move(trace));
-  }
+  /// The run's event stream (NodeRuntime::trace_bus).
   TraceBus& trace_bus() noexcept { return runtime_.trace_bus(); }
   AuditBus& audit_bus() noexcept { return runtime_.audit_bus(); }
   std::uint64_t audit_violations() const noexcept {

@@ -15,26 +15,6 @@
 
 namespace lagover {
 
-const char* to_string(TraceEventType type) noexcept {
-  switch (type) {
-    case TraceEventType::kChurnLeave: return "churn_leave";
-    case TraceEventType::kChurnJoin: return "churn_join";
-    case TraceEventType::kMaintenanceDetach: return "maintenance_detach";
-    case TraceEventType::kSourceContact: return "source_contact";
-    case TraceEventType::kInteraction: return "interaction";
-    case TraceEventType::kOracleEmpty: return "oracle_empty";
-    case TraceEventType::kInteractionFailed: return "interaction_failed";
-    case TraceEventType::kSourceContactFailed: return "source_contact_failed";
-    case TraceEventType::kParentLost: return "parent_lost";
-    case TraceEventType::kCrash: return "crash";
-    case TraceEventType::kRejoin: return "rejoin";
-    case TraceEventType::kEpochFenced: return "epoch_fenced";
-    case TraceEventType::kFailoverAttach: return "failover_attach";
-    case TraceEventType::kParentQuarantined: return "parent_quarantined";
-  }
-  return "unknown";
-}
-
 std::unique_ptr<Protocol> make_protocol(AlgorithmKind kind,
                                         SourceMode source_mode,
                                         int maintenance_patience) {
@@ -95,22 +75,10 @@ NodeRuntime::NodeRuntime(Population population, RuntimeConfig& config,
     suspicion_.resize(n, defense);
   }
   promised_delay_.assign(n, -1);
-  // Lease bookkeeping rides on the overlay's edge observers: pure
-  // record-keeping (no RNG), so the fault-free path is untouched.
-  overlay_.set_attach_observer([this](NodeId child, NodeId parent) {
-    epochs_.record_attachment(child, parent);
-    detector_.reset(child);
-    // Record the delay the parent promised (its *claimed* delay + 1):
-    // the child verifies it against reality on every maintenance poll.
-    if (defense_active() && config_.defense.delay_verification)
-      promised_delay_[child] =
-          static_cast<Delay>(protocol_->claimed_delay(overlay_, parent) + 1);
-  });
-  overlay_.set_detach_observer([this](NodeId child, NodeId /*parent*/) {
-    epochs_.clear_lease(child);
-    detector_.reset(child);
-    promised_delay_[child] = -1;
-  });
+  overlay_.set_outlet(
+      [this](OverlayChange change, NodeId subject, NodeId parent) {
+        on_overlay_change(change, subject, parent);
+      });
 
   if (config_.adversary == nullptr) {
     stack_oracle(make_oracle(config_.oracle));
@@ -178,16 +146,6 @@ void NodeRuntime::set_oracle(std::unique_ptr<Oracle> oracle) {
   stack_oracle(std::move(oracle));
 }
 
-TraceBus::SubscriptionId NodeRuntime::swap_trace(
-    std::function<void(const TraceEvent&)> trace) {
-  if (trace_subscription_ != 0) {
-    trace_bus_.unsubscribe(trace_subscription_);
-    trace_subscription_ = 0;
-  }
-  if (trace) trace_subscription_ = trace_bus_.subscribe(std::move(trace));
-  return trace_subscription_;
-}
-
 void NodeRuntime::emit(TraceEventType type, NodeId subject, NodeId partner,
                        bool attached, const char* cause) {
   const bool telem = telemetry::enabled();
@@ -196,27 +154,50 @@ void NodeRuntime::emit(TraceEventType type, NodeId subject, NodeId partner,
   TraceEvent event{static_cast<Round>(now_), type, subject, partner, attached,
                    now_};
   event.cause = cause;
-  if (fence_epochs_ && subject != kNoNode)
+  // A structural event reports the overlay, not a node's step: it names
+  // no incarnation and is no protocol message, so it stays out of the
+  // trace.* counters (the health stream sums them as messages.trace).
+  const bool step = !telemetry::structural(type);
+  if (step && fence_epochs_ && subject != kNoNode)
     event.epoch = epochs_.epoch(subject);
   if (telem) {
-    // Per-event-type counter plus the engine-agnostic global stream
-    // (the name varies per event, so the registry is hit directly
-    // instead of through the site-cached TELEM_COUNT macro).
-    const char* name = to_string(type);
-    telemetry::MetricsRegistry::instance()
-        .counter(std::string("trace.") + name)
-        .inc();
-    telemetry::EventRecord record;
-    record.ts = event.when;
-    record.name = name;
-    record.cause = event.cause;
-    record.subject = event.subject;
-    record.partner = event.partner;
-    record.epoch = static_cast<std::int64_t>(event.epoch);
-    record.attached = event.attached;
-    telemetry::record_event(record);
+    // The name varies per event, so the registry is hit directly
+    // instead of through the site-cached TELEM_COUNT macro.
+    if (step)
+      telemetry::MetricsRegistry::instance()
+          .counter(std::string("trace.") + to_string(type))
+          .inc();
+    telemetry::event_bus().publish(event);
   }
   if (bus_live) trace_bus_.publish(event);
+}
+
+void NodeRuntime::on_overlay_change(OverlayChange change, NodeId subject,
+                                    NodeId parent) {
+  switch (change) {
+    case OverlayChange::kAttach:
+      epochs_.record_attachment(subject, parent);
+      detector_.reset(subject);
+      // Record the delay the parent promised (its *claimed* delay + 1):
+      // the child verifies it against reality on every maintenance poll.
+      if (defense_active() && config_.defense.delay_verification)
+        promised_delay_[subject] = static_cast<Delay>(
+            protocol_->claimed_delay(overlay_, parent) + 1);
+      emit(TraceEventType::kEdgeAttach, subject, parent, true);
+      return;
+    case OverlayChange::kDetach:
+      epochs_.clear_lease(subject);
+      detector_.reset(subject);
+      promised_delay_[subject] = -1;
+      emit(TraceEventType::kEdgeDetach, subject, parent);
+      return;
+    case OverlayChange::kOffline:
+      emit(TraceEventType::kNodeOffline, subject);
+      return;
+    case OverlayChange::kOnline:
+      emit(TraceEventType::kNodeOnline, subject);
+      return;
+  }
 }
 
 void NodeRuntime::audit(Round label) {
@@ -378,8 +359,8 @@ bool NodeRuntime::join(NodeId id, TraceEventType type) {
 }
 
 void NodeRuntime::crash(NodeId id, const char* cause) {
-  // kCrash is emitted BEFORE the structural change so observers
-  // (metrics recorders) can still see the children the crash orphans.
+  // kCrash is emitted BEFORE the structural change: the edge_detach
+  // events of the children it orphans and its node_offline follow it.
   emit(TraceEventType::kCrash, id, kNoNode, false, cause);
   if (defense_active()) {
     // A crashing parent is instability evidence in proportion to the

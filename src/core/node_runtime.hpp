@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -29,68 +28,17 @@
 #include "health/lease.hpp"
 #include "health/suspicion.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/event_bus.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace lagover {
 
-/// Construction trace events, for tests and the Figure-1 style toy trace.
-enum class TraceEventType {
-  kChurnLeave,
-  kChurnJoin,
-  kMaintenanceDetach,
-  kSourceContact,
-  kInteraction,
-  kOracleEmpty,
-  /// The interaction request never reached the partner (fault layer:
-  /// dropped message, partition, or a stale-Oracle partner that is
-  /// already offline).
-  kInteractionFailed,
-  /// The source-contact request was lost; the node keeps a pending
-  /// source referral and retries on its next step.
-  kSourceContactFailed,
-  /// An attached node missed too many consecutive polls to its parent
-  /// (partition / message loss) and re-orphaned itself. Emitted for
-  /// both detection policies (fixed-miss and phi-accrual).
-  kParentLost,
-  /// A node crashed (fault layer). Emitted BEFORE the node is taken
-  /// offline, so observers can still see its children.
-  kCrash,
-  /// A crashed node rejoined, or a churned node re-entered.
-  kRejoin,
-  /// A parent lease was rejected because the parent re-incarnated
-  /// (epoch fence): the child re-orphans without waiting for misses.
-  kEpochFenced,
-  /// A suspected-orphan re-attached via the local failover ladder
-  /// (grandparent hint / cached partner) without consulting the Oracle.
-  kFailoverAttach,
-  /// The defense ladder barred a node's parent (quarantine/blacklist):
-  /// the child abandons it without waiting for missed polls.
-  kParentQuarantined,
-};
+/// The run's event record and its kinds live in telemetry (below core),
+/// so the exporters and the flight recorder take them off the process
+/// bus as they are.
+using telemetry::TraceEvent;
+using telemetry::TraceEventType;
 
-struct TraceEvent {
-  Round round = 0;
-  TraceEventType type{};
-  NodeId subject = kNoNode;
-  NodeId partner = kNoNode;
-  bool attached = false;  ///< for kInteraction / kSourceContact
-  /// Event time: simulation time in the async engine, the round number
-  /// in the synchronous one (see NodeRuntime::advance_to).
-  SimTime when = -1.0;
-  /// Subject's incarnation at emission time; stamped by NodeRuntime
-  /// when a fault or adversary layer can re-incarnate nodes (kNoEpoch
-  /// otherwise).
-  health::Epoch epoch = health::kNoEpoch;
-  /// Optional cause tag ("missed_polls", "stale_lease", "outage", ...)
-  /// set by emission sites that can distinguish why the event fired.
-  const char* cause = "";
-};
-
-/// Stable lower_snake name of a trace event type, used by the JSONL /
-/// Chrome-trace exporters and the per-event-type metrics counters.
-const char* to_string(TraceEventType type) noexcept;
-
-/// The runtime's multi-subscriber trace sink: recorders, validators,
+/// The runtime's multi-subscriber event stream: recorders, validators,
 /// and exporters all listen on the same bus without engine changes.
 using TraceBus = telemetry::EventBus<TraceEvent>;
 
@@ -184,7 +132,7 @@ class LAGOVER_THREAD_HOSTILE NodeRuntime {
   /// Closes the health-observatory run, when one was registered.
   ~NodeRuntime();
 
-  // Overlay observers and Oracle decorators hold pointers into this
+  // The overlay's outlet and Oracle decorators hold pointers into this
   // object, so it is pinned in place.
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -256,23 +204,20 @@ class LAGOVER_THREAD_HOSTILE NodeRuntime {
   /// unknown, offline or already parentless.
   bool escalate_starvation(NodeId child);
 
-  /// Stamps the current time and, when epochs are fenced, the subject's
-  /// incarnation; mirrors the event into the global telemetry stream
-  /// and publishes it on the trace bus.
+  /// The one publisher of the run's events, the overlay's structural
+  /// changes included: stamps the current time and, on protocol kinds
+  /// when epochs are fenced, the subject's incarnation, then publishes
+  /// the event on the trace bus and, while telemetry is on, counts it
+  /// ("trace.<type>", protocol kinds only) and mirrors it onto the
+  /// process-global event bus.
   void emit(TraceEventType type, NodeId subject, NodeId partner = kNoNode,
             bool attached = false, const char* cause = "");
 
   // --- observation --------------------------------------------------------
 
-  /// The trace event bus. Subscriptions live as long as the runtime,
-  /// across set_oracle().
+  /// The run's event stream, in emission order. Subscriptions live as
+  /// long as the runtime, across set_oracle().
   TraceBus& trace_bus() noexcept { return trace_bus_; }
-  /// The engines' legacy single-observer entry point, kept as a named
-  /// subscription on trace_bus(): a later call releases the previous
-  /// subscription before installing the replacement (nullptr only
-  /// releases). Returns the new subscription id (0 when disabling).
-  TraceBus::SubscriptionId swap_trace(
-      std::function<void(const TraceEvent&)> trace);
 
   /// Paper-invariant audit sink. LAGOVER_AUDIT builds publish one event
   /// per violation per audit; the bus exists in every build so
@@ -398,6 +343,10 @@ class LAGOVER_THREAD_HOSTILE NodeRuntime {
   bool maintenance_step(NodeId i, std::optional<bool> observed_violated);
   /// Clears i's session state (used when a node leaves or rejoins).
   void reset_node(NodeId id);
+  /// The overlay's outlet: keeps the lease book (pure record-keeping,
+  /// no RNG) and emits the structural event.
+  void on_overlay_change(OverlayChange change, NodeId subject,
+                         NodeId parent);
 
   /// How many recently seen partners each node remembers as its Oracle
   /// -outage fallback.
@@ -420,8 +369,6 @@ class LAGOVER_THREAD_HOSTILE NodeRuntime {
   std::shared_ptr<AdmissionController> admission_;
 
   TraceBus trace_bus_;
-  /// swap_trace()'s subscription on trace_bus_ (0 = none installed).
-  TraceBus::SubscriptionId trace_subscription_ = 0;
   AuditBus audit_bus_;
   std::uint64_t audit_violations_ = 0;
   /// Health-observatory run id (0 = no recorder active at construction).

@@ -4,31 +4,8 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace lagover {
-
-namespace {
-
-// Structure-level telemetry: every edge/liveness mutation — including
-// the protocol's displacement detaches and churn, which emit no
-// TraceEvents — lands on the global event stream, so an offline
-// consumer (the flight recorder, `lagover_inspect ancestry`) can replay
-// the exact parent map at any sim time from a snapshot plus these
-// events. No-ops while telemetry is off.
-void record_edge_event(const char* name, NodeId subject, NodeId partner,
-                       bool attached) {
-  if (!telemetry::enabled()) return;
-  telemetry::EventRecord record;
-  record.ts = telemetry::sim_now();
-  record.name = name;
-  record.subject = subject;
-  record.partner = partner;
-  record.attached = attached;
-  telemetry::event_bus().publish(record);
-}
-
-}  // namespace
 
 Overlay::Overlay(Population population) : population_(std::move(population)) {
   validate(population_);
@@ -139,7 +116,7 @@ void Overlay::set_offline(NodeId id) {
   --online_count_;
   --orphan_count_;
   ++counters_.offlines;
-  record_edge_event("node_offline", id, kNoNode, false);
+  report(OverlayChange::kOffline, id, kNoNode);
 }
 
 void Overlay::set_online(NodeId id) {
@@ -150,7 +127,7 @@ void Overlay::set_online(NodeId id) {
   ++online_count_;
   ++orphan_count_;
   ++counters_.onlines;
-  record_edge_event("node_online", id, kNoNode, false);
+  report(OverlayChange::kOnline, id, kNoNode);
 }
 
 bool Overlay::can_attach(NodeId child, NodeId parent) const {
@@ -173,15 +150,13 @@ void Overlay::attach(NodeId child, NodeId parent) {
   --orphan_count_;
   relabel_subtree(child, root_[parent], depth_[parent] + 1);
   ++counters_.attaches;
-  record_edge_event("edge_attach", child, parent, true);
-  if (observers_.attach) observers_.attach(child, parent);
+  report(OverlayChange::kAttach, child, parent);
 }
 
 void Overlay::detach(NodeId child) {
   check_id(child);
   const NodeId p = parent_[child];
   LAGOVER_EXPECTS(p != kNoNode);
-  if (observers_.detach) observers_.detach(child, p);
   auto& siblings = children_[p];
   const auto it = std::find(siblings.begin(), siblings.end(), child);
   LAGOVER_ASSERT(it != siblings.end());
@@ -190,7 +165,7 @@ void Overlay::detach(NodeId child) {
   ++orphan_count_;  // only online nodes have parents
   relabel_subtree(child, child, -depth_[child]);
   ++counters_.detaches;
-  record_edge_event("edge_detach", child, p, false);
+  report(OverlayChange::kDetach, child, p);
 }
 
 void Overlay::relabel_subtree(NodeId top, NodeId new_root, int depth_shift) {

@@ -33,6 +33,9 @@ struct OverlayCounters {
   std::uint64_t onlines = 0;
 };
 
+/// A structural change an Overlay reports to its outlet.
+enum class OverlayChange { kAttach, kDetach, kOffline, kOnline };
+
 /// Mutable overlay (forest) state with structural enforcement of fanout
 /// bounds and acyclicity. Algorithms mutate it only through
 /// attach/detach/set_offline/set_online, so the invariants checked by
@@ -43,10 +46,9 @@ class Overlay {
   /// start online and parentless.
   explicit Overlay(Population population);
 
-  /// Copies carry the structure but NOT the edge observers: observers
-  /// are wiring installed by the owning engine (e.g. the health layer's
-  /// lease book) and must not dangle into it from a snapshot copy.
-  /// Moves keep them.
+  /// Copies carry the structure but NOT the outlet: it is wiring
+  /// installed by the owning runtime and must not dangle into it from a
+  /// snapshot copy. Moves keep it.
   Overlay(const Overlay&) = default;
   Overlay& operator=(const Overlay&) = default;
   Overlay(Overlay&&) = default;
@@ -112,18 +114,15 @@ class Overlay {
   /// subtree stays with it). Precondition: has_parent(child).
   void detach(NodeId child);
 
-  // --- edge observers ---------------------------------------------------
-  /// Invoked after every successful attach / before every detach with
-  /// (child, parent). Installed by the owning engine (the health layer
-  /// records epoch leases through these); nullptr disables. Observers
-  /// must not mutate the overlay. Not propagated by copies.
-  using EdgeObserver = std::function<void(NodeId child, NodeId parent)>;
-  void set_attach_observer(EdgeObserver observer) {
-    observers_.attach = std::move(observer);
-  }
-  void set_detach_observer(EdgeObserver observer) {
-    observers_.detach = std::move(observer);
-  }
+  // --- outlet -----------------------------------------------------------
+  /// Called after every attach, detach, set_offline and set_online that
+  /// changed the overlay, with the subject and, for attach and detach,
+  /// the parent (kNoNode otherwise). The owning runtime installs it to
+  /// keep its lease book and publish the change; a bare overlay reports
+  /// to no one. It must not mutate the overlay. nullptr removes it.
+  using Outlet =
+      std::function<void(OverlayChange change, NodeId subject, NodeId parent)>;
+  void set_outlet(Outlet outlet) { outlet_.report = std::move(outlet); }
 
   // --- constraint satisfaction ------------------------------------------
   /// True iff id is online, connected, and DelayAt(id) <= l_id.
@@ -159,24 +158,25 @@ class Overlay {
   std::string to_ascii() const;
 
  private:
-  /// The edge observers, in a holder whose copies start empty (see the
-  /// copy constructor's comment); moves keep them.
-  struct Observers {
-    EdgeObserver attach;
-    EdgeObserver detach;
+  /// The outlet, in a holder whose copies start empty (see the copy
+  /// constructor's comment); moves keep it.
+  struct OutletHolder {
+    Outlet report;
 
-    Observers() = default;
-    Observers(const Observers& /*other*/) {}
-    Observers& operator=(const Observers& /*other*/) {
-      attach = nullptr;
-      detach = nullptr;
+    OutletHolder() = default;
+    OutletHolder(const OutletHolder& /*other*/) {}
+    OutletHolder& operator=(const OutletHolder& /*other*/) {
+      report = nullptr;
       return *this;
     }
-    Observers(Observers&&) = default;
-    Observers& operator=(Observers&&) = default;
+    OutletHolder(OutletHolder&&) = default;
+    OutletHolder& operator=(OutletHolder&&) = default;
   };
 
   void check_id(NodeId id) const;
+  void report(OverlayChange change, NodeId subject, NodeId parent) const {
+    if (outlet_.report) outlet_.report(change, subject, parent);
+  }
   /// satisfied() without the id check, read off the index.
   bool satisfied_unchecked(NodeId id) const {
     return online_[id] != 0 && root_[id] == kSourceId &&
@@ -201,7 +201,7 @@ class Overlay {
   /// relabel_subtree()'s stack, reused across calls.
   std::vector<NodeId> walk_;
   OverlayCounters counters_;
-  Observers observers_;
+  OutletHolder outlet_;
 };
 
 }  // namespace lagover

@@ -2,10 +2,10 @@
 
 namespace lagover::metrics {
 
-FailoverRecorder::FailoverRecorder(const Overlay& overlay)
-    : overlay_(overlay),
-      orphan_since_(overlay.node_count(), kIdle),
-      detect_since_(overlay.node_count(), kIdle) {}
+FailoverRecorder::FailoverRecorder(std::size_t node_count)
+    : online_(node_count, 1),
+      orphan_since_(node_count, kIdle),
+      detect_since_(node_count, kIdle) {}
 
 FailoverRecorder::~FailoverRecorder() { unsubscribe(); }
 
@@ -44,16 +44,29 @@ void FailoverRecorder::on_trace(const TraceEvent& event) {
   switch (event.type) {
     case TraceEventType::kCrash:
       ++crashes_;
-      // Emitted before set_offline: the children the crash is about to
-      // orphan are still attached to the subject. Each starts an orphan
-      // period now (the ground truth) and a detection measurement that
-      // completes at its first own orphan-loop activity.
-      for (const NodeId child : overlay_.children(subject)) {
-        start_orphan(child, now);
-        if (detect_since_[child] == kIdle) detect_since_[child] = now;
-      }
-      // The crashed node's own pending measurements die with it.
+      // The crashed node's own pending measurements die with it; the
+      // children it orphans detach before its kNodeOffline.
+      crashing_ = subject;
       clear_node(subject);
+      return;
+    case TraceEventType::kEdgeDetach:
+      // A child of the crashing node: it starts an orphan period now
+      // (the ground truth) and a detection measurement that completes
+      // at its first own orphan-loop activity.
+      if (crashing_ != kNoNode && event.partner == crashing_) {
+        start_orphan(subject, now);
+        if (detect_since_[subject] == kIdle) detect_since_[subject] = now;
+      }
+      return;
+    case TraceEventType::kNodeOffline:
+      online_[subject] = 0;
+      if (subject == crashing_) crashing_ = kNoNode;
+      return;
+    case TraceEventType::kNodeOnline:
+      online_[subject] = 1;
+      return;
+    case TraceEventType::kEdgeAttach:
+      // Only the node's own attached events end its orphan period.
       return;
     case TraceEventType::kParentLost:
     case TraceEventType::kEpochFenced:
@@ -61,7 +74,7 @@ void FailoverRecorder::on_trace(const TraceEvent& event) {
       if (event.type == TraceEventType::kEpochFenced) ++fences_;
       // The suspected parent being alive right now means the silence
       // was message loss, not death: a false positive.
-      if (event.partner != kNoNode && overlay_.online(event.partner))
+      if (event.partner != kNoNode && online_[event.partner] != 0)
         ++false_suspicions_;
       start_orphan(subject, now);
       return;

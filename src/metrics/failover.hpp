@@ -1,5 +1,6 @@
-// Failure-detection / failover instrumentation for the health layer:
-// consumes the construction trace (TraceEvent) and derives
+// Failure-detection / failover instrumentation for the health layer: a
+// fold over one run's event stream (TraceEvent, structural kinds
+// included) that derives
 //
 //   * detection latency — crash of a parent -> first orphan-loop
 //     activity of each child it orphaned,
@@ -11,25 +12,26 @@
 //     death),
 //   * fence / failover counters.
 //
-// Engine agnostic: install `recorder.on_trace` (wrapped in a lambda) as
-// the engine's trace observer. Borrows the overlay for ground truth —
-// kCrash is emitted BEFORE the structural change, so the crashed node's
-// children are still visible when the recorder snapshots them.
+// Engine agnostic and needs no live overlay: a crashed node's children
+// are the kEdgeDetach events between its kCrash and its kNodeOffline,
+// and liveness is kept from kNodeOffline / kNodeOnline. So the recorder
+// must see the run from its start, live (subscribe()) or replayed from
+// a recording (on_trace() per event, in order).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/node_runtime.hpp"
-#include "core/overlay.hpp"
 #include "stats/sample.hpp"
 
 namespace lagover::metrics {
 
 class FailoverRecorder {
  public:
-  /// Borrows the overlay (must outlive the recorder).
-  explicit FailoverRecorder(const Overlay& overlay);
+  /// Folds a run over node ids below `node_count`, all starting online.
+  explicit FailoverRecorder(std::size_t node_count);
 
   // Subscribed to a trace bus; moving would dangle the captured `this`.
   FailoverRecorder(const FailoverRecorder&) = delete;
@@ -37,9 +39,8 @@ class FailoverRecorder {
 
   ~FailoverRecorder();
 
-  /// Subscribes on_trace to an engine's trace bus (the preferred
-  /// hookup: other consumers can listen concurrently). The bus must
-  /// outlive the recorder or a later unsubscribe() call.
+  /// Subscribes on_trace to a run's trace bus. The bus must outlive the
+  /// recorder or a later unsubscribe() call.
   void subscribe(TraceBus& bus);
   void unsubscribe();
 
@@ -80,7 +81,6 @@ class FailoverRecorder {
 
   static constexpr double kIdle = -1.0;
 
-  const Overlay& overlay_;
   TraceBus* bus_ = nullptr;
   TraceBus::SubscriptionId subscription_ = 0;
   Sample detection_latency_;
@@ -91,6 +91,11 @@ class FailoverRecorder {
   std::uint64_t fences_ = 0;
   std::uint64_t failover_attaches_ = 0;
   std::uint64_t detections_ = 0;
+  /// The node whose kCrash has not yet been followed by its
+  /// kNodeOffline (kNoNode = none).
+  NodeId crashing_ = kNoNode;
+  /// Per node: online, as the stream last said.
+  std::vector<char> online_;
   /// Per node: time its current fault-caused orphan period began
   /// (kIdle = not in one).
   std::vector<double> orphan_since_;

@@ -8,50 +8,9 @@ RecoveryRecorder::RecoveryRecorder(const Overlay& overlay,
                                    fault::FaultPlan plan)
     : overlay_(overlay), plan_(std::move(plan)) {}
 
-RecoveryRecorder::~RecoveryRecorder() { unsubscribe(); }
-
-void RecoveryRecorder::subscribe(TraceBus& bus) {
-  unsubscribe();
-  bus_ = &bus;
-  subscription_ = bus.subscribe([this](const TraceEvent& event) {
-    switch (event.type) {
-      case TraceEventType::kCrash:
-      case TraceEventType::kParentLost:
-      case TraceEventType::kEpochFenced:
-        ++fault_events_;
-        break;
-      default:
-        break;
-    }
-  });
-}
-
-void RecoveryRecorder::unsubscribe() {
-  if (bus_ == nullptr) return;
-  bus_->unsubscribe(subscription_);
-  bus_ = nullptr;
-  subscription_ = 0;
-}
-
 void RecoveryRecorder::sample(double t) {
-  std::size_t orphans = 0;
-  std::size_t violations = 0;
-  for (NodeId id = 1; id < overlay_.node_count(); ++id) {
-    if (!overlay_.online(id)) continue;
-    if (!overlay_.has_parent(id)) {
-      ++orphans;
-    } else if (overlay_.delay_at(id) > overlay_.latency_of(id)) {
-      ++violations;
-    }
-  }
-  orphans_.add(t, static_cast<double>(orphans));
-  violations_.add(t, static_cast<double>(violations));
+  orphans_.add(t, static_cast<double>(overlay_.orphan_count()));
   satisfied_.add(t, overlay_.satisfied_fraction());
-}
-
-bool RecoveryRecorder::healthy_at(std::size_t i) const {
-  return orphans_.value_at(i) == 0.0 && violations_.value_at(i) == 0.0 &&
-         satisfied_.value_at(i) >= 1.0;
 }
 
 std::vector<RecoveryRecorder::WindowRecovery>
@@ -67,9 +26,6 @@ RecoveryRecorder::window_recoveries() const {
       if (windows[w].contains(t)) {
         r.peak_orphans = std::max(
             r.peak_orphans, static_cast<std::size_t>(orphans_.value_at(i)));
-        r.peak_violations = std::max(
-            r.peak_violations,
-            static_cast<std::size_t>(violations_.value_at(i)));
       }
       if (!r.recovered && t >= windows[w].end && healthy_at(i)) {
         r.recovered = true;

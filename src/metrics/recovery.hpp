@@ -1,16 +1,13 @@
 // Recovery instrumentation for chaos experiments: samples the overlay
 // on a fixed cadence and, against a FaultPlan, derives per-window
-// damage (peak orphans / constraint violations) and the
-// time-to-reconvergence after each fault window closes. Engine
-// agnostic: the async engine drives sample() from a periodic event, the
-// synchronous engine once per round.
+// damage (peak orphans) and the time-to-reconvergence after each fault
+// window closes. Engine agnostic: the async engine drives sample() from
+// a periodic event, the synchronous engine once per round.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "core/node_runtime.hpp"
 #include "core/overlay.hpp"
 #include "fault/fault_plan.hpp"
 #include "stats/timeseries.hpp"
@@ -22,30 +19,11 @@ class RecoveryRecorder {
   /// Borrows the overlay (must outlive the recorder).
   RecoveryRecorder(const Overlay& overlay, fault::FaultPlan plan);
 
-  // Subscribed to a trace bus; moving would dangle the captured `this`.
-  RecoveryRecorder(const RecoveryRecorder&) = delete;
-  RecoveryRecorder& operator=(const RecoveryRecorder&) = delete;
-
-  ~RecoveryRecorder();
-
-  /// Subscribes to an engine's trace bus to count fault-related events
-  /// (crashes, suspicions, fences). Pure counting: the recovery math
-  /// stays driven exclusively by sample(), so results are identical
-  /// with or without a subscription. The bus must outlive the recorder
-  /// or a later unsubscribe() call.
-  void subscribe(TraceBus& bus);
-  void unsubscribe();
-
-  /// Crash / suspicion / fence trace events observed via subscribe().
-  std::uint64_t fault_events() const noexcept { return fault_events_; }
-
-  /// Records one observation at time t: online orphan roots, online
-  /// attached nodes violating their latency constraint, and the
-  /// satisfied fraction.
+  /// Records one observation at time t, read off the overlay's index:
+  /// online orphan roots and the satisfied fraction.
   void sample(double t);
 
   const TimeSeries& orphan_series() const noexcept { return orphans_; }
-  const TimeSeries& violation_series() const noexcept { return violations_; }
   const TimeSeries& satisfied_series() const noexcept { return satisfied_; }
 
   /// Damage and recovery per fault window, derived from the samples.
@@ -53,10 +31,9 @@ class RecoveryRecorder {
     std::size_t window = 0;          ///< index into plan().windows()
     double window_end = 0.0;
     std::size_t peak_orphans = 0;    ///< max during [start, end)
-    std::size_t peak_violations = 0;
     bool recovered = false;
-    /// First sample time >= window end with zero orphans, zero
-    /// violations, and full satisfaction; meaningful when recovered.
+    /// First sample time >= window end with every online consumer
+    /// satisfied; meaningful when recovered.
     double recovered_at = 0.0;
     /// recovered_at - window_end (the headline metric).
     double time_to_reconverge = 0.0;
@@ -68,22 +45,21 @@ class RecoveryRecorder {
   /// within the sampled horizon.
   double final_time_to_reconverge() const;
 
-  /// Was the overlay fully healthy (no orphans, no violations, all
-  /// satisfied) at the last sample?
+  /// Was every online consumer satisfied at the last sample?
   bool healthy_at_end() const;
 
   const fault::FaultPlan& plan() const noexcept { return plan_; }
 
  private:
-  bool healthy_at(std::size_t sample_index) const;
+  /// All satisfied, which rules out orphans (never connected) and
+  /// latency violations alike.
+  bool healthy_at(std::size_t sample_index) const {
+    return satisfied_.value_at(sample_index) >= 1.0;
+  }
 
   const Overlay& overlay_;
   fault::FaultPlan plan_;
-  TraceBus* bus_ = nullptr;
-  TraceBus::SubscriptionId subscription_ = 0;
-  std::uint64_t fault_events_ = 0;
   TimeSeries orphans_;
-  TimeSeries violations_;
   TimeSeries satisfied_;
 };
 

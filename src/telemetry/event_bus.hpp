@@ -1,6 +1,6 @@
 // Multi-subscriber event bus with a bounded ring-buffer retention
-// window. This is the fan-out point of the telemetry substrate: the
-// construction engines publish every TraceEvent to their bus, and any
+// window. This is the fan-out point of the telemetry substrate: a
+// run's runtime publishes every TraceEvent to the run's bus, and any
 // number of recorders, validators, and exporters listen without the
 // engine knowing about them.
 //
@@ -63,10 +63,6 @@ class LAGOVER_THREAD_SAFE EventBus {
     MutexLock lock(&mutex_);
     return !subscribers_.empty();
   }
-  std::size_t subscriber_count() const LAGOVER_EXCLUDES(mutex_) {
-    MutexLock lock(&mutex_);
-    return subscribers_.size();
-  }
 
   /// Delivers `event` to every subscriber, then retains it in the ring
   /// (when retention is enabled). Must not be called from a handler of
@@ -126,12 +122,6 @@ class LAGOVER_THREAD_SAFE EventBus {
   std::vector<Event> recent() const LAGOVER_EXCLUDES(mutex_) {
     MutexLock lock(&mutex_);
     return recent_locked();
-  }
-
-  void clear_retained() LAGOVER_EXCLUDES(mutex_) {
-    MutexLock lock(&mutex_);
-    ring_.clear();
-    head_ = 0;
   }
 
  private:

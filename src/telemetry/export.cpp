@@ -48,7 +48,7 @@ JsonlEventWriter::JsonlEventWriter(const std::string& path, bool spans_only)
   if (spans_only) return;
   subscribed_events_ = true;
   event_sub_ = event_bus().subscribe(
-      [this](const EventRecord& record) { on_event(record); });
+      [this](const TraceEvent& event) { on_event(event); });
   log_sub_ =
       log_bus().subscribe([this](const LogRecord& record) { on_log(record); });
 }
@@ -61,10 +61,10 @@ JsonlEventWriter::~JsonlEventWriter() {
   }
 }
 
-void JsonlEventWriter::on_event(const EventRecord& record) {
+void JsonlEventWriter::on_event(const TraceEvent& event) {
   MutexLock lock(&mutex_);
   if (!out_) return;
-  out_ << event_to_json(record).dump() << '\n';
+  out_ << event_to_json(event).dump() << '\n';
   ++lines_;
 }
 
@@ -111,7 +111,7 @@ ChromeTraceWriter::ChromeTraceWriter() {
   events_.push_back(process_name_metadata(kWallPid, "wall (profiler)"));
   events_.push_back(process_name_metadata(kItemPid, "items (1 row = 1 item)"));
   event_sub_ = event_bus().subscribe(
-      [this](const EventRecord& record) { on_event(record); });
+      [this](const TraceEvent& event) { on_event(event); });
   span_sub_ =
       span_bus().subscribe([this](const ItemSpan& span) { on_span(span); });
   log_sub_ =
@@ -128,24 +128,24 @@ ChromeTraceWriter::~ChromeTraceWriter() {
     Profiler::instance().set_sink(previous_sink_);
 }
 
-void ChromeTraceWriter::on_event(const EventRecord& record) {
+void ChromeTraceWriter::on_event(const TraceEvent& event) {
   MutexLock lock(&mutex_);
   Json args = Json::object();
-  args.set("node", Json::integer(record.subject));
-  args.set("partner", Json::integer(record.partner));
-  if (record.epoch != 0) args.set("epoch", Json::integer(record.epoch));
-  if (record.cause[0] != '\0') args.set("cause", Json::string(record.cause));
-  args.set("attached", Json::boolean(record.attached));
-  Json event = Json::object();
-  event.set("name", Json::string(record.name));
-  event.set("cat", Json::string("overlay"));
-  event.set("ph", Json::string("i"));
-  event.set("s", Json::string("t"));  // thread-scoped instant
-  event.set("ts", Json::number(sim_to_us(record.ts)));
-  event.set("pid", Json::integer(kSimPid));
-  event.set("tid", Json::integer(record.subject));
-  event.set("args", std::move(args));
-  events_.push_back(std::move(event));
+  args.set("node", Json::integer(event.subject));
+  args.set("partner", Json::integer(event.partner));
+  if (event.epoch != 0) args.set("epoch", Json::integer(event.epoch));
+  if (event.cause[0] != '\0') args.set("cause", Json::string(event.cause));
+  args.set("attached", Json::boolean(event.attached));
+  Json instant = Json::object();
+  instant.set("name", Json::string(to_string(event.type)));
+  instant.set("cat", Json::string("overlay"));
+  instant.set("ph", Json::string("i"));
+  instant.set("s", Json::string("t"));  // thread-scoped instant
+  instant.set("ts", Json::number(sim_to_us(event.when)));
+  instant.set("pid", Json::integer(kSimPid));
+  instant.set("tid", Json::integer(event.subject));
+  instant.set("args", std::move(args));
+  events_.push_back(std::move(instant));
 }
 
 void ChromeTraceWriter::on_span(const ItemSpan& span) {

@@ -85,14 +85,14 @@ class LAGOVER_THREAD_SAFE JsonlEventWriter {
   }
 
  private:
-  void on_event(const EventRecord& record) LAGOVER_EXCLUDES(mutex_);
+  void on_event(const TraceEvent& event) LAGOVER_EXCLUDES(mutex_);
   void on_span(const ItemSpan& span) LAGOVER_EXCLUDES(mutex_);
   void on_log(const LogRecord& record) LAGOVER_EXCLUDES(mutex_);
 
   mutable Mutex mutex_;
   std::ofstream out_ LAGOVER_GUARDED_BY(mutex_);
   std::uint64_t lines_ LAGOVER_GUARDED_BY(mutex_) = 0;
-  EventBus<EventRecord>::SubscriptionId event_sub_ = 0;
+  EventBus<TraceEvent>::SubscriptionId event_sub_ = 0;
   SpanBus::SubscriptionId span_sub_ = 0;
   EventBus<LogRecord>::SubscriptionId log_sub_ = 0;
   bool subscribed_events_ = false;
@@ -125,13 +125,13 @@ class LAGOVER_THREAD_SAFE ChromeTraceWriter final : public ScopeSink {
       LAGOVER_EXCLUDES(mutex_) override;
 
  private:
-  void on_event(const EventRecord& record) LAGOVER_EXCLUDES(mutex_);
+  void on_event(const TraceEvent& event) LAGOVER_EXCLUDES(mutex_);
   void on_span(const ItemSpan& span) LAGOVER_EXCLUDES(mutex_);
   void on_log(const LogRecord& record) LAGOVER_EXCLUDES(mutex_);
 
   mutable Mutex mutex_;
   std::vector<Json> events_ LAGOVER_GUARDED_BY(mutex_);
-  EventBus<EventRecord>::SubscriptionId event_sub_ = 0;
+  EventBus<TraceEvent>::SubscriptionId event_sub_ = 0;
   SpanBus::SubscriptionId span_sub_ = 0;
   EventBus<LogRecord>::SubscriptionId log_sub_ = 0;
   ScopeSink* previous_sink_ = nullptr;

@@ -7,16 +7,40 @@
 
 namespace lagover::telemetry {
 
-Json event_to_json(const EventRecord& record) {
+const char* to_string(TraceEventType type) noexcept {
+  switch (type) {
+    case TraceEventType::kChurnLeave: return "churn_leave";
+    case TraceEventType::kChurnJoin: return "churn_join";
+    case TraceEventType::kMaintenanceDetach: return "maintenance_detach";
+    case TraceEventType::kSourceContact: return "source_contact";
+    case TraceEventType::kInteraction: return "interaction";
+    case TraceEventType::kOracleEmpty: return "oracle_empty";
+    case TraceEventType::kInteractionFailed: return "interaction_failed";
+    case TraceEventType::kSourceContactFailed: return "source_contact_failed";
+    case TraceEventType::kParentLost: return "parent_lost";
+    case TraceEventType::kCrash: return "crash";
+    case TraceEventType::kRejoin: return "rejoin";
+    case TraceEventType::kEpochFenced: return "epoch_fenced";
+    case TraceEventType::kFailoverAttach: return "failover_attach";
+    case TraceEventType::kParentQuarantined: return "parent_quarantined";
+    case TraceEventType::kEdgeAttach: return "edge_attach";
+    case TraceEventType::kEdgeDetach: return "edge_detach";
+    case TraceEventType::kNodeOffline: return "node_offline";
+    case TraceEventType::kNodeOnline: return "node_online";
+  }
+  return "unknown";
+}
+
+Json event_to_json(const TraceEvent& event) {
   Json line = Json::object();
   line.set("kind", Json::string("event"));
-  line.set("ts", Json::number(record.ts));
-  line.set("type", Json::string(record.name));
-  if (record.cause[0] != '\0') line.set("cause", Json::string(record.cause));
-  line.set("node", Json::integer(record.subject));
-  line.set("partner", Json::integer(record.partner));
-  if (record.epoch != 0) line.set("epoch", Json::integer(record.epoch));
-  line.set("attached", Json::boolean(record.attached));
+  line.set("ts", Json::number(event.when));
+  line.set("type", Json::string(to_string(event.type)));
+  if (event.cause[0] != '\0') line.set("cause", Json::string(event.cause));
+  line.set("node", Json::integer(event.subject));
+  line.set("partner", Json::integer(event.partner));
+  if (event.epoch != 0) line.set("epoch", Json::integer(event.epoch));
+  line.set("attached", Json::boolean(event.attached));
   return line;
 }
 
@@ -56,9 +80,9 @@ FlightRecorder::FlightRecorder(Config config) : config_(config) {
   // The handlers run under their bus's lock on whichever thread
   // published, so each takes the recorder mutex (order: bus -> flight
   // recorder, never the reverse).
-  event_sub_ = event_bus().subscribe([this](const EventRecord& record) {
+  event_sub_ = event_bus().subscribe([this](const TraceEvent& event) {
     MutexLock lock(&mutex_);
-    retain(events_, config_.event_capacity, record);
+    retain(events_, config_.event_capacity, event);
   });
   span_sub_ = span_bus().subscribe([this](const ItemSpan& span) {
     MutexLock lock(&mutex_);
@@ -122,8 +146,8 @@ Json FlightRecorder::to_json(const std::string& reason) const {
     root.set("fault_plan", Json::string(fault_plan_));
 
   Json events = Json::array();
-  for (const EventRecord& record : events_)
-    events.push_back(event_to_json(record));
+  for (const TraceEvent& event : events_)
+    events.push_back(event_to_json(event));
   root.set("events", std::move(events));
 
   Json spans = Json::array();

@@ -162,12 +162,12 @@ class LAGOVER_THREAD_SAFE FlightRecorder {
 
   // Set once in the constructor, then immutable.
   Config config_;
-  EventBus<EventRecord>::SubscriptionId event_sub_ = 0;
+  EventBus<TraceEvent>::SubscriptionId event_sub_ = 0;
   SpanBus::SubscriptionId span_sub_ = 0;
   EventBus<LogRecord>::SubscriptionId log_sub_ = 0;
 
   mutable Mutex mutex_;
-  std::deque<EventRecord> events_ LAGOVER_GUARDED_BY(mutex_);
+  std::deque<TraceEvent> events_ LAGOVER_GUARDED_BY(mutex_);
   std::deque<ItemSpan> spans_ LAGOVER_GUARDED_BY(mutex_);
   std::deque<LogRecord> logs_ LAGOVER_GUARDED_BY(mutex_);
   std::deque<SnapshotRecord> snapshots_ LAGOVER_GUARDED_BY(mutex_);
@@ -184,7 +184,7 @@ class LAGOVER_THREAD_SAFE FlightRecorder {
 
 /// Serializers shared by the JSONL exporter and the bundle writer, so
 /// both speak the same "lagover.spans.v1" line schema.
-Json event_to_json(const EventRecord& record);
+Json event_to_json(const TraceEvent& event);
 Json span_to_json(const ItemSpan& span);
 Json log_to_json(const LogRecord& record);
 

@@ -1,8 +1,9 @@
 // Header-only base of the telemetry substrate: the process-wide enable
-// switch, the simulated/wall clocks, and the global event + log buses.
-// Everything here is inline (function-local statics) so even
-// lagover_common — which the telemetry library itself links against —
-// can publish without a link-time dependency.
+// switch, the simulated/wall clocks, the event type and the global
+// event + log buses. Everything here but to_string(TraceEventType) is
+// inline (function-local statics) so even lagover_common — which the
+// telemetry library itself links against — can publish without a
+// link-time dependency.
 //
 // The contract of the whole layer: telemetry OFF (the default) means
 // ZERO behavior change. No RNG is consumed, no simulation state is
@@ -76,30 +77,90 @@ inline std::uint64_t wall_nanos() noexcept {
 }
 
 // ---------------------------------------------------------------------
-// Global event stream. Engines flatten their typed TraceEvents into
-// this engine-agnostic record so exporters (JSONL, Chrome trace) can
-// capture a whole bench run — including benches that drive engines
-// through helpers and never see a trace hook.
+// The event stream. A construction run's runtime (core/node_runtime)
+// publishes one TraceEvent per protocol step and per structural change
+// of its overlay, stamped by its own clock, on the run's bus — and,
+// while telemetry is on, on the process-global event_bus() below, so
+// exporters (JSONL, Chrome trace, the flight recorder) capture a whole
+// bench run, including runs built inside helpers they never see.
 
-struct EventRecord {
-  double ts = 0.0;          ///< simulated time
-  const char* name = "";    ///< event type, e.g. "interaction"
-  const char* cause = "";   ///< cause tag, e.g. "stale_lease"
-  std::uint32_t subject = 0;
-  std::uint32_t partner = 0;
-  std::int64_t epoch = 0;   ///< subject's incarnation (0 = unknown)
-  bool attached = false;
+enum class TraceEventType {
+  kChurnLeave,
+  kChurnJoin,
+  kMaintenanceDetach,
+  kSourceContact,
+  kInteraction,
+  kOracleEmpty,
+  /// The interaction request never reached the partner (fault layer:
+  /// dropped message, partition, or a stale-Oracle partner that is
+  /// already offline).
+  kInteractionFailed,
+  /// The source-contact request was lost; the node keeps a pending
+  /// source referral and retries on its next step.
+  kSourceContactFailed,
+  /// An attached node missed too many consecutive polls to its parent
+  /// (partition / message loss) and re-orphaned itself. Emitted for
+  /// both detection policies (fixed-miss and phi-accrual).
+  kParentLost,
+  /// A node crashed (fault layer). Emitted BEFORE the node is taken
+  /// offline: its children's kEdgeDetach events and its own
+  /// kNodeOffline follow.
+  kCrash,
+  /// A crashed node rejoined, or a churned node re-entered.
+  kRejoin,
+  /// A parent lease was rejected because the parent re-incarnated
+  /// (epoch fence): the child re-orphans without waiting for misses.
+  kEpochFenced,
+  /// A suspected-orphan re-attached via the local failover ladder
+  /// (grandparent hint / cached partner) without consulting the Oracle.
+  kFailoverAttach,
+  /// The defense ladder barred a node's parent (quarantine/blacklist):
+  /// the child abandons it without waiting for missed polls.
+  kParentQuarantined,
+  // Structural kinds: one per overlay mutation, whoever caused it
+  // (including displacement detaches and churn, which no protocol kind
+  // names), so a consumer can replay the parent map from the stream.
+  /// subject attached under partner (attached = true).
+  kEdgeAttach,
+  /// subject detached from its parent partner.
+  kEdgeDetach,
+  /// subject went offline; its edges were detached just before.
+  kNodeOffline,
+  /// subject came back online, parentless.
+  kNodeOnline,
 };
 
-inline EventBus<EventRecord>& event_bus() {
-  static EventBus<EventRecord> bus;
-  return bus;
+/// True for the four kinds an overlay mutation publishes.
+inline bool structural(TraceEventType type) noexcept {
+  return type >= TraceEventType::kEdgeAttach;
 }
 
-/// Publishes to the global event bus; no-op while telemetry is off.
-inline void record_event(const EventRecord& record) {
-  if (!enabled()) return;
-  event_bus().publish(record);
+/// Stable lower_snake name of an event type ("interaction",
+/// "edge_attach", ...), used by the exporters and the per-type
+/// "trace.<name>" counters.
+const char* to_string(TraceEventType type) noexcept;
+
+struct TraceEvent {
+  /// The clock as a whole number (the round in the synchronous engine).
+  std::uint64_t round = 0;
+  TraceEventType type{};
+  std::uint32_t subject = 0xffffffffu;  ///< ~0u = no node
+  std::uint32_t partner = 0xffffffffu;
+  bool attached = false;  ///< kInteraction, kSourceContact, kEdgeAttach
+  /// Event time: simulation time in the async engine, the round number
+  /// in the synchronous one.
+  double when = -1.0;
+  /// Subject's incarnation when a fault or adversary layer can
+  /// re-incarnate nodes (0 otherwise, and on structural kinds).
+  std::uint32_t epoch = 0;
+  /// Optional cause tag ("missed_polls", "stale_lease", "outage", ...)
+  /// set by emission sites that can distinguish why the event fired.
+  const char* cause = "";
+};
+
+inline EventBus<TraceEvent>& event_bus() {
+  static EventBus<TraceEvent> bus;
+  return bus;
 }
 
 // ---------------------------------------------------------------------

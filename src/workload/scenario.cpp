@@ -1,7 +1,9 @@
 #include "workload/scenario.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -50,6 +52,31 @@ bool read_number(const Json& json, const char* key, double& out,
     return false;
   }
   out = value->as_number();
+  return true;
+}
+
+/// Upper bound of every count-like key (peers, latencies, fanouts,
+/// trials, windows, ticks): far above any population the benches
+/// sweep, and small enough that no derived int arithmetic overflows.
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 20;
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+
+/// Reads the optional integer `key` into `out`: only a JSON integer
+/// within [min, max] passes, checked before the narrowing cast.
+template <typename Int>
+bool read_int(const Json& json, const char* key, std::int64_t min,
+              std::int64_t max, Int& out, const char* section,
+              std::string* error) {
+  const Json* value = json.find(key);
+  if (value == nullptr) return true;  // optional, keep default
+  if (!value->is_integer() || value->as_int() < min ||
+      value->as_int() > max) {
+    set_error(error, std::string(section) + "." + key +
+                         " must be an integer in [" + std::to_string(min) +
+                         ", " + std::to_string(max) + "]");
+    return false;
+  }
+  out = static_cast<Int>(value->as_int());
   return true;
 }
 
@@ -120,27 +147,19 @@ bool parse_workload_section(const Json& json, Scenario& out,
       return false;
     }
   }
-  if (const Json* peers = json.find("peers")) {
-    if (peers->as_int() < 2) {
-      set_error(error, "workload.peers must be >= 2");
-      return false;
-    }
-    out.workload_params.peers = static_cast<std::size_t>(peers->as_int());
-  }
-  if (const Json* latency = json.find("max_latency")) {
-    if (latency->as_int() < 1) {
-      set_error(error, "workload.max_latency must be >= 1");
-      return false;
-    }
-    out.workload_params.max_latency = static_cast<Delay>(latency->as_int());
-  }
-  if (const Json* fanout = json.find("source_fanout"))
-    out.workload_params.source_fanout = static_cast<int>(fanout->as_int());
-  if (const Json* fanout = json.find("tf1_fanout"))
-    out.workload_params.tf1_fanout = static_cast<int>(fanout->as_int());
-  if (const Json* fanout = json.find("rand_fanout_max"))
-    out.workload_params.rand_fanout_max = static_cast<int>(fanout->as_int());
-  return true;
+  WorkloadParams& params = out.workload_params;
+  const char* section = "workload";
+  // source_fanout 0 = automatic.
+  return read_int(json, "peers", 2, kMaxCount, params.peers, section,
+                  error) &&
+         read_int(json, "max_latency", 1, kMaxCount, params.max_latency,
+                  section, error) &&
+         read_int(json, "source_fanout", 0, kMaxCount, params.source_fanout,
+                  section, error) &&
+         read_int(json, "tf1_fanout", 1, kMaxCount, params.tf1_fanout,
+                  section, error) &&
+         read_int(json, "rand_fanout_max", 0, kMaxCount,
+                  params.rand_fanout_max, section, error);
 }
 
 bool parse_churn_section(const Json& json, Scenario& out,
@@ -204,7 +223,8 @@ bool parse_fault_window(const Json& json, fault::FaultWindow& window,
                        "faults[]", error);
 }
 
-bool parse_domain(const Json& json, ScenarioDomain& domain,
+/// `peers` bounds the explicit member ids.
+bool parse_domain(const Json& json, std::size_t peers, ScenarioDomain& domain,
                   std::string* error) {
   if (!json.is_object()) {
     set_error(error, "each domains[] entry must be an object");
@@ -228,8 +248,10 @@ bool parse_domain(const Json& json, ScenarioDomain& domain,
       return false;
     }
     for (const Json& member : members->elements()) {
-      if (!member.is_number() || member.as_int() < 1) {
-        set_error(error, "domains[].members must be consumer ids (>= 1)");
+      if (!member.is_integer() || member.as_int() < 1 ||
+          member.as_int() > static_cast<std::int64_t>(peers)) {
+        set_error(error, "domains[].members must be consumer ids in [1, " +
+                             std::to_string(peers) + "]");
         return false;
       }
       domain.members.push_back(static_cast<NodeId>(member.as_int()));
@@ -306,14 +328,9 @@ bool parse_adversary_section(const Json& json, Scenario& out,
     set_error(error, "adversary fractions must sum to <= 1");
     return false;
   }
-  if (const Json* understatement = json.find("delay_understatement")) {
-    if (understatement->as_int() < 1) {
-      set_error(error, "adversary.delay_understatement must be >= 1");
-      return false;
-    }
-    spec.delay_understatement = static_cast<Delay>(understatement->as_int());
-  }
-  if (!read_number(json, "flap_period", spec.flap_period, "adversary",
+  if (!read_int(json, "delay_understatement", 1, kMaxCount,
+                spec.delay_understatement, "adversary", error) ||
+      !read_number(json, "flap_period", spec.flap_period, "adversary",
                    error) ||
       !read_fraction(json, "flap_duty", spec.flap_duty, "adversary", error))
     return false;
@@ -321,9 +338,7 @@ bool parse_adversary_section(const Json& json, Scenario& out,
     set_error(error, "adversary.flap_period must be > 0");
     return false;
   }
-  if (const Json* salt = json.find("salt"))
-    spec.salt = static_cast<std::uint64_t>(salt->as_int());
-  return true;
+  return read_int(json, "salt", 0, kMaxInt64, spec.salt, "adversary", error);
 }
 
 bool parse_defense_section(const Json& json, Scenario& out,
@@ -422,22 +437,10 @@ bool parse_admission_subsection(const Json& json, AdmissionConfig& out,
     set_error(error, "overload.admission windows and waits must be > 0");
     return false;
   }
-  if (const Json* trip = json.find("breaker_trip_windows")) {
-    if (trip->as_int() < 1) {
-      set_error(error, "overload.admission.breaker_trip_windows must be >= 1");
-      return false;
-    }
-    out.breaker_trip_windows = static_cast<int>(trip->as_int());
-  }
-  if (const Json* close = json.find("breaker_close_windows")) {
-    if (close->as_int() < 1) {
-      set_error(error,
-                "overload.admission.breaker_close_windows must be >= 1");
-      return false;
-    }
-    out.breaker_close_windows = static_cast<int>(close->as_int());
-  }
-  return true;
+  return read_int(json, "breaker_trip_windows", 1, kMaxCount,
+                  out.breaker_trip_windows, section, error) &&
+         read_int(json, "breaker_close_windows", 1, kMaxCount,
+                  out.breaker_close_windows, section, error);
 }
 
 bool parse_capacity_subsection(const Json& json, feed::CapacityConfig& out,
@@ -452,21 +455,11 @@ bool parse_capacity_subsection(const Json& json, feed::CapacityConfig& out,
                   error))
     return false;
   const char* section = "overload.capacity";
-  if (const Json* budget = json.find("relay_budget")) {
-    if (budget->as_int() < 0) {
-      set_error(error, "overload.capacity.relay_budget must be >= 0");
-      return false;
-    }
-    out.relay_budget = static_cast<std::uint32_t>(budget->as_int());
-  }
-  if (const Json* limit = json.find("queue_limit")) {
-    if (limit->as_int() < 0) {
-      set_error(error, "overload.capacity.queue_limit must be >= 0");
-      return false;
-    }
-    out.queue_limit = static_cast<std::uint32_t>(limit->as_int());
-  }
-  if (!read_bool(json, "shedding", out.shedding, section, error) ||
+  if (!read_int(json, "relay_budget", 0, kMaxCount, out.relay_budget,
+                section, error) ||
+      !read_int(json, "queue_limit", 0, kMaxCount, out.queue_limit, section,
+                error) ||
+      !read_bool(json, "shedding", out.shedding, section, error) ||
       !read_fraction(json, "fanout_factor", out.fanout_factor, section,
                      error))
     return false;
@@ -474,20 +467,11 @@ bool parse_capacity_subsection(const Json& json, feed::CapacityConfig& out,
     set_error(error, "overload.capacity.fanout_factor must be in (0, 1]");
     return false;
   }
-  if (const Json* ticks = json.find("recovery_ticks")) {
-    if (ticks->as_int() < 1) {
-      set_error(error, "overload.capacity.recovery_ticks must be >= 1");
-      return false;
-    }
-    out.recovery_ticks = static_cast<int>(ticks->as_int());
-  }
-  if (const Json* starve = json.find("starve_limit")) {
-    if (starve->as_int() < 1) {
-      set_error(error, "overload.capacity.starve_limit must be >= 1");
-      return false;
-    }
-    out.starve_limit = static_cast<int>(starve->as_int());
-  }
+  if (!read_int(json, "recovery_ticks", 1, kMaxCount, out.recovery_ticks,
+                section, error) ||
+      !read_int(json, "starve_limit", 1, kMaxCount, out.starve_limit, section,
+                error))
+    return false;
   if (const Json* squeezes = json.find("squeezes")) {
     if (!squeezes->is_array()) {
       set_error(error, "overload.capacity.squeezes must be an array");
@@ -621,16 +605,9 @@ bool parse_scenario(const Json& json, Scenario& out, std::string* error) {
       return false;
     }
   }
-  if (const Json* seed = json.find("seed"))
-    out.seed = static_cast<std::uint64_t>(seed->as_int(1));
-  if (const Json* trials = json.find("trials")) {
-    if (trials->as_int() < 1) {
-      set_error(error, "\"trials\" must be >= 1");
-      return false;
-    }
-    out.trials = static_cast<int>(trials->as_int());
-  }
-  if (!read_number(json, "horizon", out.horizon, "scenario", error))
+  if (!read_int(json, "seed", 0, kMaxInt64, out.seed, "scenario", error) ||
+      !read_int(json, "trials", 1, kMaxCount, out.trials, "scenario", error) ||
+      !read_number(json, "horizon", out.horizon, "scenario", error))
     return false;
   if (out.horizon <= 0.0) {
     set_error(error, "\"horizon\" must be > 0");
@@ -658,7 +635,8 @@ bool parse_scenario(const Json& json, Scenario& out, std::string* error) {
     }
     for (const Json& entry : domains->elements()) {
       ScenarioDomain domain;
-      if (!parse_domain(entry, domain, error)) return false;
+      if (!parse_domain(entry, out.workload_params.peers, domain, error))
+        return false;
       out.domains.push_back(std::move(domain));
     }
   }

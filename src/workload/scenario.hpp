@@ -7,7 +7,10 @@
 // "lagover.bench.v1" summary.
 //
 // The schema (all sections optional except "name"; unknown keys are
-// rejected so typos fail loudly in CI):
+// rejected so typos fail loudly in CI). Integer keys take JSON integers
+// only ("3", not "3.0" or "3e0") within their ranges: seed and salt in
+// [0, 2^63 - 1], domain members in [1, peers], and the count-like keys
+// (trials, peers, latencies, fanouts, windows, ticks) at most 2^20:
 //
 //   {
 //     "schema": "lagover.scenario.v1",

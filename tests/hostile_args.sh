@@ -1,10 +1,12 @@
 #!/bin/sh
-# Hostile-argument check of lagover_inspect and the example programs: a
-# malformed or out-of-range number and an unknown --name must each print
-# a usage line to stderr and exit 2, never abort and never run. Invoked
-# by ctest as: hostile_args.sh LAGOVER_INSPECT EXAMPLE...
+# Hostile-argument check of lagover_inspect, lagover_cli and the example
+# programs: a malformed or out-of-range number, an unknown name and an
+# unknown --flag must each print a usage line to stderr and exit 2,
+# never abort and never run. Invoked by ctest as:
+# hostile_args.sh LAGOVER_INSPECT LAGOVER_CLI EXAMPLE...
 INSPECT="$1"
-shift
+CLI="$2"
+shift 2
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 status=0
@@ -34,6 +36,26 @@ expect_usage "$INSPECT" "$DUMP" timeline 4294967296
 expect_usage "$INSPECT" "$DUMP" ancestry 3 --at abc
 expect_usage "$INSPECT" "$DUMP" laggards -5x
 expect_usage "$INSPECT" "$DUMP" summary --no-such-flag
+
+# Each lagover_cli subcommand takes exactly the flags its header lists;
+# the flags are read before any input file is opened.
+expect_usage "$CLI"
+expect_usage "$CLI" frobnicate
+expect_usage "$CLI" generate --no-such-flag
+expect_usage "$CLI" generate --peers abc
+expect_usage "$CLI" generate --peers 0
+expect_usage "$CLI" generate --peers -5
+expect_usage "$CLI" generate --kind zipf
+expect_usage "$CLI" check --population "$DUMP" --seed 3
+expect_usage "$CLI" construct --population "$DUMP" --max-rounds 5x
+expect_usage "$CLI" construct --population "$DUMP" --max-rounds -3
+expect_usage "$CLI" construct --population "$DUMP" --algorithm fastest
+expect_usage "$CLI" construct --population "$DUMP" --oracle o9
+expect_usage "$CLI" validate --snapshot "$DUMP" --duration 3
+expect_usage "$CLI" disseminate --snapshot "$DUMP" --duration abc
+expect_usage "$CLI" disseminate --snapshot "$DUMP" --duration -5
+expect_usage "$CLI" disseminate --snapshot "$DUMP" --publish-period 0
+expect_usage "$CLI" disseminate --snapshot "$DUMP" --no-such-flag
 
 for example in "$@"; do
   expect_usage "$example" --seed abc

@@ -150,7 +150,7 @@ TEST(ChurnEngineTest, ChurnEventsAppearInTrace) {
   engine.set_churn(std::make_unique<BernoulliChurn>(0.05, 0.3));
   std::size_t leaves = 0;
   std::size_t joins = 0;
-  engine.set_trace([&](const TraceEvent& event) {
+  engine.trace_bus().subscribe([&](const TraceEvent& event) {
     if (event.type == TraceEventType::kChurnLeave) ++leaves;
     if (event.type == TraceEventType::kChurnJoin) ++joins;
   });

@@ -21,7 +21,10 @@
 #include "fault/domains.hpp"
 #include "fault/fault_injector.hpp"
 #include "health/health.hpp"
+#include "metrics/failover.hpp"
 #include "metrics/recovery.hpp"
+#include "telemetry/telemetry.hpp"
+#include "workload/churn.hpp"
 #include "workload/constraints.hpp"
 
 namespace lagover {
@@ -43,6 +46,12 @@ struct SyncScheduler {
   static constexpr const char* kName = "Sync";
 
   static int& timeout(Config& config) { return config.timeout_rounds; }
+  /// Churn departures are announced after the node left.
+  static constexpr bool kAnnouncesLeaveFirst = false;
+  /// Takes a node offline before the first round.
+  static void park(Engine& engine, NodeId id) {
+    engine.overlay().set_offline(id);
+  }
   /// The converged round, as a time.
   static std::optional<double> converge(Engine& engine, double horizon) {
     const auto round = engine.run_until_converged(static_cast<Round>(horizon));
@@ -65,6 +74,9 @@ struct AsyncScheduler {
   static constexpr const char* kName = "Async";
 
   static int& timeout(Config& config) { return config.timeout_steps; }
+  /// Churn departures are announced while the node is still there.
+  static constexpr bool kAnnouncesLeaveFirst = true;
+  static void park(Engine& engine, NodeId id) { engine.park_offline(id); }
   static std::optional<double> converge(Engine& engine, double horizon) {
     return engine.run_until_converged(horizon);
   }
@@ -357,7 +369,7 @@ TYPED_TEST(SchedulerConformance, PartitionedChildrenDetectDeadParents) {
   config.faults = faults;
   typename S::Engine engine(workload(60, 23), config);
   std::uint64_t parent_losses = 0;
-  engine.set_trace([&](const TraceEvent& event) {
+  engine.trace_bus().subscribe([&](const TraceEvent& event) {
     if (event.type == TraceEventType::kParentLost) ++parent_losses;
   });
   S::run(engine, 500.0);
@@ -424,7 +436,7 @@ TYPED_TEST(SchedulerConformance, LadderRecoversOrphansWithoutOracle) {
   config.faults = faults;
   typename S::Engine engine(workload(80, 43), config);
   std::uint64_t failover_attaches = 0;
-  engine.set_trace([&](const TraceEvent& event) {
+  engine.trace_bus().subscribe([&](const TraceEvent& event) {
     if (event.type == TraceEventType::kFailoverAttach) ++failover_attaches;
   });
   S::run(engine, 400.0);
@@ -516,6 +528,196 @@ TYPED_TEST(SchedulerConformance, TightAdmissionRationsTheOracle) {
   // Forty orphans against two admits per five time units must overflow
   // the window — degraded service (stale/reject), not free rein.
   EXPECT_GT(control->stale_verdicts() + control->rejected(), 0u);
+}
+
+// --- the event stream --------------------------------------------------
+
+/// Turns telemetry on and collects the process-global event bus for
+/// the collector's lifetime (one run's stream when it spans one run).
+class ProcessStream {
+ public:
+  ProcessStream() : was_on_(telemetry::enabled()) {
+    telemetry::set_enabled(true);
+    subscription_ = telemetry::event_bus().subscribe(
+        [this](const TraceEvent& event) { events.push_back(event); });
+  }
+  ~ProcessStream() {
+    telemetry::event_bus().unsubscribe(subscription_);
+    telemetry::set_enabled(was_on_);
+  }
+  ProcessStream(const ProcessStream&) = delete;
+  ProcessStream& operator=(const ProcessStream&) = delete;
+
+  std::size_t count(TraceEventType type) const {
+    std::size_t n = 0;
+    for (const TraceEvent& event : events) n += event.type == type ? 1 : 0;
+    return n;
+  }
+
+  std::vector<TraceEvent> events;
+
+ private:
+  bool was_on_;
+  TraceBus::SubscriptionId subscription_ = 0;
+};
+
+/// The departure announced by events[at] (a crash or churn leave): its
+/// edge_detach events and the node's node_offline sit next to it, in
+/// direction `step`, and each carries its time.
+void expect_departure_stamped(const std::vector<TraceEvent>& events,
+                              std::size_t at, int step) {
+  const TraceEvent& leave = events[at];
+  bool offline = false;
+  for (auto j = static_cast<std::ptrdiff_t>(at) + step;
+       j >= 0 && j < static_cast<std::ptrdiff_t>(events.size()); j += step) {
+    const TraceEvent& event = events[static_cast<std::size_t>(j)];
+    const bool own_offline = event.type == TraceEventType::kNodeOffline &&
+                             event.subject == leave.subject;
+    if (event.type != TraceEventType::kEdgeDetach && !own_offline) break;
+    EXPECT_EQ(event.when, leave.when)
+        << to_string(event.type) << " of node " << event.subject << " vs "
+        << to_string(leave.type) << " of node " << leave.subject;
+    if (own_offline) {
+      offline = true;
+      if (step > 0) break;
+    }
+  }
+  EXPECT_TRUE(offline) << to_string(leave.type) << " of node "
+                       << leave.subject << " at " << leave.when;
+}
+
+/// One run's stream never steps back in time, and every structural
+/// event of a join, leave or crash carries the time of the protocol
+/// event that names it.
+template <typename S>
+void expect_stamped_by_runtime(const std::vector<TraceEvent>& events) {
+  for (std::size_t i = 1; i < events.size(); ++i)
+    ASSERT_GE(events[i].when, events[i - 1].when)
+        << to_string(events[i].type) << " of node " << events[i].subject
+        << " (event " << i << ") steps back in time";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& event = events[i];
+    switch (event.type) {
+      case TraceEventType::kNodeOnline: {
+        // A join brings the node online, then announces it.
+        ASSERT_LT(i + 1, events.size());
+        const TraceEvent& join = events[i + 1];
+        EXPECT_TRUE(join.type == TraceEventType::kRejoin ||
+                    join.type == TraceEventType::kChurnJoin)
+            << to_string(join.type);
+        EXPECT_EQ(join.subject, event.subject);
+        EXPECT_EQ(event.when, join.when) << "node " << event.subject;
+        break;
+      }
+      case TraceEventType::kCrash:
+        expect_departure_stamped(events, i, 1);
+        break;
+      case TraceEventType::kChurnLeave:
+        expect_departure_stamped(events, i, S::kAnnouncesLeaveFirst ? 1 : -1);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+TYPED_TEST(SchedulerConformance, EventStreamIsStampedByTheRuntimeClock) {
+  using S = TypeParam;
+  {
+    SCOPED_TRACE("crash plan");
+    typename S::Config config;
+    config.seed = 41;
+    FaultPlan plan;
+    plan.add(FaultPlan::crashes(10.0, 50.0, 0.05, 3.0));
+    config.faults = std::make_shared<FaultInjector>(plan, 17);
+    ProcessStream stream;
+    typename S::Engine engine(workload(60, 19), config);
+    S::run(engine, 80.0);
+    EXPECT_GT(stream.count(TraceEventType::kRejoin), 0u);
+    EXPECT_EQ(stream.count(TraceEventType::kNodeOnline),
+              stream.count(TraceEventType::kRejoin));
+    expect_stamped_by_runtime<S>(stream.events);
+  }
+  {
+    SCOPED_TRACE("churn");
+    typename S::Config config;
+    config.seed = 7;
+    WorkloadParams params;
+    params.peers = 60;
+    params.seed = 7;
+    ProcessStream stream;
+    typename S::Engine engine(generate_workload(WorkloadKind::kRand, params),
+                              config);
+    engine.set_churn(std::make_unique<BernoulliChurn>(0.02, 0.3));
+    S::run(engine, 60.0);
+    EXPECT_GT(stream.count(TraceEventType::kChurnLeave), 0u);
+    EXPECT_GT(stream.count(TraceEventType::kChurnJoin), 0u);
+    expect_stamped_by_runtime<S>(stream.events);
+  }
+  {
+    SCOPED_TRACE("parked after an earlier run");
+    ASSERT_GT(telemetry::sim_now(), 0.0);  // the runs above moved it
+    typename S::Config config;
+    config.seed = 9;
+    ProcessStream stream;
+    typename S::Engine engine(workload(20, 9), config);
+    S::park(engine, 3);
+    ASSERT_EQ(stream.events.size(), 1u);
+    EXPECT_EQ(stream.events[0].type, TraceEventType::kNodeOffline);
+    EXPECT_EQ(stream.events[0].subject, 3u);
+    EXPECT_EQ(stream.events[0].when, 0.0);
+    S::run(engine, 20.0);
+    expect_stamped_by_runtime<S>(stream.events);
+  }
+}
+
+/// Every aggregate a FailoverRecorder reports.
+void expect_same_failover(const metrics::FailoverRecorder& a,
+                          const metrics::FailoverRecorder& b) {
+  EXPECT_EQ(a.detection_latency().values(), b.detection_latency().values());
+  EXPECT_EQ(a.orphan_time().values(), b.orphan_time().values());
+  EXPECT_EQ(a.crashes(), b.crashes());
+  EXPECT_EQ(a.suspicions(), b.suspicions());
+  EXPECT_EQ(a.false_suspicions(), b.false_suspicions());
+  EXPECT_EQ(a.fences(), b.fences());
+  EXPECT_EQ(a.failover_attaches(), b.failover_attaches());
+  EXPECT_EQ(a.detections(), b.detections());
+}
+
+TYPED_TEST(SchedulerConformance, FailoverRecorderNeedsOnlyTheStream) {
+  using S = TypeParam;
+  // bench_failover's plan: crash storms around a lossy window.
+  FaultPlan plan;
+  plan.add(FaultPlan::crashes(40.0, 90.0, 0.02, 6.0))
+      .add(FaultPlan::drop(110.0, 150.0, 0.25))
+      .add(FaultPlan::crashes(170.0, 220.0, 0.03, 8.0));
+  for (auto detection : {health::DetectionPolicy::kFixedMisses,
+                         health::DetectionPolicy::kPhiAccrual}) {
+    SCOPED_TRACE(to_string(detection));
+    typename S::Config config;
+    config.seed = 29;
+    config.health.detection = detection;
+    config.health.failover = health::FailoverPolicy::kLadder;
+    config.faults = std::make_shared<FaultInjector>(plan, 29 ^ 0xfa170);
+    typename S::Engine engine(workload(80, 29), config);
+    const std::size_t nodes = engine.overlay().node_count();
+    metrics::FailoverRecorder live(nodes);
+    live.subscribe(engine.trace_bus());
+    std::vector<TraceEvent> recorded;
+    engine.trace_bus().subscribe(
+        [&](const TraceEvent& event) { recorded.push_back(event); });
+    S::run(engine, 300.0);
+
+    metrics::FailoverRecorder replayed(nodes);
+    for (const TraceEvent& event : recorded) replayed.on_trace(event);
+    expect_same_failover(live, replayed);
+    // Not vacuous: crashes orphaned children that were detected, and
+    // the drop window raised suspicions of live parents.
+    EXPECT_GT(live.crashes(), 0u);
+    EXPECT_GT(live.detections(), 0u);
+    EXPECT_GT(live.orphan_time().size(), 0u);
+    EXPECT_GT(live.false_suspicions(), 0u);
+  }
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ Population chain_population() {
 }
 
 /// A runtime over `population` whose Oracle plays `script`, recording
-/// every trace event it publishes.
+/// every protocol event it publishes (structural ones are left out).
 struct Harness {
   explicit Harness(std::vector<NodeId> script, int timeout_limit = 3,
                    Population population = chain_population(),
@@ -60,8 +60,9 @@ struct Harness {
         runtime(std::move(population), config, timeout_limit),
         rng(7) {
     runtime.set_oracle(std::make_unique<ScriptedOracle>(std::move(script)));
-    runtime.trace_bus().subscribe(
-        [this](const TraceEvent& event) { events.push_back(event); });
+    runtime.trace_bus().subscribe([this](const TraceEvent& event) {
+      if (!telemetry::structural(event.type)) events.push_back(event);
+    });
   }
 
   static RuntimeConfig make_config(AlgorithmKind algorithm, int patience) {

@@ -116,7 +116,7 @@ TEST(EngineTest, TraceObserverSeesInteractions) {
   Engine engine(tiny_tf1(), config);
   std::size_t interactions = 0;
   std::size_t source_contacts = 0;
-  engine.set_trace([&](const TraceEvent& event) {
+  engine.trace_bus().subscribe([&](const TraceEvent& event) {
     if (event.type == TraceEventType::kInteraction) ++interactions;
     if (event.type == TraceEventType::kSourceContact) ++source_contacts;
   });

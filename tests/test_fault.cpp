@@ -293,7 +293,7 @@ class FixedOracle final : public Oracle {
 };
 
 /// A greedy runtime over small_population() under `plan` whose Oracle is
-/// a FixedOracle answering node 2, recording every trace event.
+/// a FixedOracle answering node 2, recording every protocol event.
 struct FaultHarness {
   explicit FaultHarness(int timeout_limit, const FaultPlan& plan = {})
       : config(make_config(plan)),
@@ -301,8 +301,9 @@ struct FaultHarness {
     auto fixed = std::make_unique<FixedOracle>(2);
     oracle = fixed.get();
     runtime.set_oracle(std::move(fixed));
-    runtime.trace_bus().subscribe(
-        [this](const TraceEvent& e) { events.push_back(e); });
+    runtime.trace_bus().subscribe([this](const TraceEvent& e) {
+      if (!telemetry::structural(e.type)) events.push_back(e);
+    });
   }
 
   static RuntimeConfig make_config(const FaultPlan& plan) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/validator.hpp"
@@ -111,12 +112,11 @@ TEST(EpochBookTest, AuditFlagsStaleEdges) {
                  NodeSpec{3, Constraints{0, 3}}};
   Overlay overlay(p);
   health::EpochBook book(overlay.node_count());
-  overlay.set_attach_observer([&](NodeId child, NodeId parent) {
+  for (const auto& [child, parent] :
+       {std::pair<NodeId, NodeId>{1, kSourceId}, {2, 1}, {3, 2}}) {
+    overlay.attach(child, parent);
     book.record_attachment(child, parent);
-  });
-  overlay.attach(1, kSourceId);
-  overlay.attach(2, 1);
-  overlay.attach(3, 2);
+  }
 
   EXPECT_TRUE(audit_epochs(overlay, book).ok());
   EXPECT_TRUE(audit_epochs(overlay, book).stale_edges.empty());
@@ -132,26 +132,34 @@ TEST(EpochBookTest, AuditFlagsStaleEdges) {
 
 // --- failover metrics recorder ---------------------------------------
 
-TEST(FailoverRecorderTest, DerivesDetectionAndOrphanTimes) {
-  Population p;
-  p.source_fanout = 2;
-  p.consumers = {NodeSpec{1, Constraints{2, 1}}, NodeSpec{2, Constraints{1, 2}},
-                 NodeSpec{3, Constraints{0, 3}}};
-  Overlay overlay(p);
-  overlay.attach(1, kSourceId);
-  overlay.attach(2, 1);
-  overlay.attach(3, 2);
+/// One hand-written event of a run's stream at time t.
+TraceEvent event_at(double t, TraceEventType type, NodeId subject,
+                    NodeId partner = kNoNode, bool attached = false) {
+  return {static_cast<Round>(t), type, subject, partner, attached, t};
+}
 
-  metrics::FailoverRecorder recorder(overlay);
-  // Node 2 crashes at t=10 (emitted BEFORE the structural change: node 3
-  // is still its child). Node 3 discovers at t=12 (its first orphan-loop
-  // event) and re-attaches at t=15.
+TEST(FailoverRecorderTest, DerivesDetectionAndOrphanTimes) {
+  // The chain 0 <- 1 <- 2 <- 3, built at t=0.
+  metrics::FailoverRecorder recorder(4);
+  recorder.on_trace(event_at(0, TraceEventType::kEdgeAttach, 1, 0, true));
+  recorder.on_trace(event_at(0, TraceEventType::kEdgeAttach, 2, 1, true));
+  recorder.on_trace(event_at(0, TraceEventType::kEdgeAttach, 3, 2, true));
+  // Node 2 crashes at t=10: it detaches from node 1, node 3 detaches
+  // from it — node 3 is the child the crash orphans, node 1 is not —
+  // then it goes offline. Node 3 discovers at t=12 (its first
+  // orphan-loop event) and re-attaches at t=15.
+  recorder.on_trace(event_at(10, TraceEventType::kCrash, 2));
+  recorder.on_trace(event_at(10, TraceEventType::kEdgeDetach, 2, 1));
+  recorder.on_trace(event_at(10, TraceEventType::kEdgeDetach, 3, 2));
+  recorder.on_trace(event_at(10, TraceEventType::kNodeOffline, 2));
+  recorder.on_trace(event_at(12, TraceEventType::kInteractionFailed, 3, 1));
+  recorder.on_trace(event_at(15, TraceEventType::kEdgeAttach, 3, 1, true));
   recorder.on_trace(
-      {10, TraceEventType::kCrash, 2, kNoNode, false, 10.0});
-  overlay.set_offline(2);  // orphans node 3, as the engines do
-  recorder.on_trace(
-      {12, TraceEventType::kInteractionFailed, 3, 1, false, 12.0});
-  recorder.on_trace({15, TraceEventType::kFailoverAttach, 3, 1, true, 15.0});
+      event_at(15, TraceEventType::kFailoverAttach, 3, 1, true));
+  // Once the crash's kNodeOffline closed it, a detach is no crash
+  // orphaning.
+  recorder.on_trace(event_at(16, TraceEventType::kEdgeDetach, 3, 1));
+  recorder.on_trace(event_at(17, TraceEventType::kInteraction, 3, 1, true));
 
   EXPECT_EQ(recorder.crashes(), 1u);
   EXPECT_EQ(recorder.detections(), 1u);
@@ -163,25 +171,35 @@ TEST(FailoverRecorderTest, DerivesDetectionAndOrphanTimes) {
 }
 
 TEST(FailoverRecorderTest, CountsFalseSuspicions) {
-  Population p;
-  p.source_fanout = 2;
-  p.consumers = {NodeSpec{1, Constraints{2, 1}}, NodeSpec{2, Constraints{1, 2}},
-                 NodeSpec{3, Constraints{0, 3}}};
-  Overlay overlay(p);
-  overlay.attach(1, kSourceId);
-  overlay.attach(2, 1);
-
-  metrics::FailoverRecorder recorder(overlay);
+  metrics::FailoverRecorder recorder(4);
+  recorder.on_trace(event_at(0, TraceEventType::kEdgeAttach, 1, 0, true));
+  recorder.on_trace(event_at(0, TraceEventType::kEdgeAttach, 2, 1, true));
   // Node 2 suspects node 1 — which is still online: a false positive.
-  recorder.on_trace({5, TraceEventType::kParentLost, 2, 1, false, 5.0});
+  recorder.on_trace(event_at(5, TraceEventType::kEdgeDetach, 2, 1));
+  recorder.on_trace(event_at(5, TraceEventType::kParentLost, 2, 1));
   EXPECT_EQ(recorder.suspicions(), 1u);
   EXPECT_EQ(recorder.false_suspicions(), 1u);
   EXPECT_DOUBLE_EQ(recorder.false_positive_rate(), 1.0);
 
   // Node 2 re-attaches at t=9: orphan period of 4.
-  recorder.on_trace({9, TraceEventType::kInteraction, 2, 1, true, 9.0});
+  recorder.on_trace(event_at(9, TraceEventType::kEdgeAttach, 2, 1, true));
+  recorder.on_trace(event_at(9, TraceEventType::kInteraction, 2, 1, true));
   ASSERT_EQ(recorder.orphan_time().size(), 1u);
   EXPECT_DOUBLE_EQ(recorder.orphan_time().mean(), 4.0);
+
+  // Node 1 went offline (churn) before node 2 gave up on it: a true
+  // positive. Back online, suspecting it is a false one again.
+  recorder.on_trace(event_at(20, TraceEventType::kEdgeDetach, 2, 1));
+  recorder.on_trace(event_at(20, TraceEventType::kEdgeDetach, 1, 0));
+  recorder.on_trace(event_at(20, TraceEventType::kNodeOffline, 1));
+  recorder.on_trace(event_at(21, TraceEventType::kParentLost, 2, 1));
+  EXPECT_EQ(recorder.suspicions(), 2u);
+  EXPECT_EQ(recorder.false_suspicions(), 1u);
+  recorder.on_trace(event_at(25, TraceEventType::kNodeOnline, 1));
+  recorder.on_trace(event_at(26, TraceEventType::kEpochFenced, 3, 1));
+  EXPECT_EQ(recorder.suspicions(), 3u);
+  EXPECT_EQ(recorder.false_suspicions(), 2u);
+  EXPECT_EQ(recorder.fences(), 1u);
 }
 
 // --- to_string coverage ----------------------------------------------

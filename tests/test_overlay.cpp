@@ -2,7 +2,9 @@
 // delays, online state, attach/detach preconditions, audit invariants).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/overlay.hpp"
@@ -188,30 +190,55 @@ TEST(OverlayTest, CountersTrackMutations) {
   EXPECT_EQ(overlay.counters().onlines, 1u);
 }
 
-TEST(OverlayTest, CopiesDropEdgeObserversAndMovesKeepThem) {
-  int calls = 0;
-  const auto count = [&calls](NodeId /*child*/, NodeId /*parent*/) {
-    ++calls;
-  };
+TEST(OverlayTest, OutletReportsEveryChangeOnce) {
+  std::vector<std::string> log;
   Overlay overlay(small_population());
-  overlay.set_attach_observer(count);
-  overlay.set_detach_observer(count);
+  overlay.set_outlet([&log](OverlayChange change, NodeId subject,
+                            NodeId parent) {
+    static const char* const kNames[] = {"attach", "detach", "offline",
+                                         "online"};
+    log.push_back(std::string(kNames[static_cast<int>(change)]) + " " +
+                  std::to_string(subject) + " " +
+                  (parent == kNoNode ? "-" : std::to_string(parent)));
+  });
+  overlay.attach(1, kSourceId);
+  overlay.attach(2, 1);
+  overlay.set_offline(1);  // detaches 1 from the source, then orphans 2
+  overlay.set_offline(1);  // already offline: no change, no report
+  overlay.set_online(1);
+  overlay.set_online(1);
+  EXPECT_EQ(log, (std::vector<std::string>{"attach 1 0", "attach 2 1",
+                                           "detach 1 0", "detach 2 1",
+                                           "offline 1 -", "online 1 -"}));
+}
+
+TEST(OverlayTest, CopiesDropTheOutletAndMovesKeepIt) {
+  int calls = 0;
+  const auto count = [&calls](OverlayChange /*change*/, NodeId /*subject*/,
+                              NodeId /*parent*/) { ++calls; };
+  Overlay overlay(small_population());
+  overlay.set_outlet(count);
   overlay.attach(1, kSourceId);
   ASSERT_EQ(calls, 1);
 
   Overlay copy(overlay);
   Overlay assigned(small_population());
-  assigned.set_attach_observer(count);
+  assigned.set_outlet(count);
   assigned = overlay;
   for (Overlay* target : {&copy, &assigned}) {
     EXPECT_EQ(target->delay_at(1), 1);  // the index travels with the copy
     target->attach(2, 1);
     target->detach(2);
+    target->set_offline(2);
+    target->set_online(2);
   }
   EXPECT_EQ(calls, 1);
 
   Overlay moved(std::move(overlay));
   moved.attach(2, 1);
+  EXPECT_EQ(calls, 2);
+  moved.set_outlet(nullptr);
+  moved.detach(2);
   EXPECT_EQ(calls, 2);
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "workload/scenario.hpp"
@@ -165,6 +167,65 @@ TEST(ScenarioParseTest, RejectsBadEnumsAndRanges) {
                                "windows": [{"start": 5, "end": 2}]}]})");
   parse_error(R"({"schema": "lagover.scenario.v1", "name": "x",
                   "feed": {"push_loss": 1.0}})");
+}
+
+TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
+  // Each document sets one integer key badly: a float, a string, a value
+  // beyond the key's range, or one that would wrap in a narrowing cast.
+  // Each must fail to parse with an error naming the key.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("trials": 3000000000)", "trials"},
+      {R"("trials": 2.9)", "trials"},
+      {R"("seed": "abc")", "seed"},
+      {R"("seed": -1)", "seed"},
+      {R"("workload": {"peers": 20.7})", "peers"},
+      {R"("workload": {"peers": 1})", "peers"},
+      {R"("workload": {"max_latency": 1e300})", "max_latency"},
+      {R"("workload": {"source_fanout": "x"})", "source_fanout"},
+      {R"("workload": {"source_fanout": -3})", "source_fanout"},
+      {R"("workload": {"tf1_fanout": 0})", "tf1_fanout"},
+      {R"("workload": {"rand_fanout_max": 1.5})", "rand_fanout_max"},
+      {R"("workload": {"peers": 20},
+          "domains": [{"name": "r", "members": [999],
+                       "windows": [{"start": 0, "end": 1}]}])",
+       "members"},
+      {R"("domains": [{"name": "r", "members": [2.5],
+                       "windows": [{"start": 0, "end": 1}]}])",
+       "members"},
+      {R"("adversary": {"delay_liar_fraction": 0.1,
+                        "delay_understatement": 0})",
+       "delay_understatement"},
+      {R"("adversary": {"delay_liar_fraction": 0.1, "salt": "s"})", "salt"},
+      {R"("overload": {"admission": {"rate_limit": 1,
+                                     "breaker_trip_windows": 1.5}})",
+       "breaker_trip_windows"},
+      {R"("overload": {"admission": {"rate_limit": 1,
+                                     "breaker_close_windows": 0}})",
+       "breaker_close_windows"},
+      {R"("overload": {"capacity": {"relay_budget": -1}})", "relay_budget"},
+      {R"("overload": {"capacity": {"queue_limit": 4294967296}})",
+       "queue_limit"},
+      {R"("overload": {"capacity": {"recovery_ticks": 0}})",
+       "recovery_ticks"},
+      {R"("overload": {"capacity": {"starve_limit": "3"}})", "starve_limit"},
+  };
+  for (const auto& [fields, key] : cases) {
+    const std::string doc =
+        std::string(R"({"schema": "lagover.scenario.v1", "name": "x", )") +
+        fields + "}";
+    const std::string error = parse_error(doc);
+    EXPECT_NE(error.find(key), std::string::npos) << doc << "\n-> " << error;
+  }
+  // The bounds themselves are accepted.
+  const Scenario edge = parse_ok(R"({
+    "schema": "lagover.scenario.v1", "name": "edge", "seed": 0,
+    "trials": 1, "workload": {"peers": 20, "source_fanout": 0},
+    "domains": [{"name": "r", "members": [1, 20],
+                 "windows": [{"start": 0, "end": 1}]}]
+  })");
+  EXPECT_EQ(edge.seed, 0u);
+  EXPECT_EQ(edge.workload_params.peers, 20u);
+  EXPECT_EQ(edge.domains[0].members, (std::vector<NodeId>{1, 20}));
 }
 
 TEST(ScenarioParseTest, OverloadSectionRoundTrips) {

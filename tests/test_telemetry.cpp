@@ -14,7 +14,6 @@
 #include "core/engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "feed/dissemination.hpp"
-#include "metrics/failover.hpp"
 #include "telemetry/event_bus.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -262,7 +261,8 @@ TEST(ExportTest, JsonlWriterStreamsEventsAndLogs) {
   {
     telemetry::JsonlEventWriter writer(path);
     ASSERT_TRUE(writer.ok());
-    telemetry::record_event({1.5, "interaction", "", 3, 4, 1, true});
+    telemetry::event_bus().publish(
+        {1, TraceEventType::kInteraction, 3, 4, true, 1.5, 1});
     telemetry::log_bus().publish({1.5, 10, 2, "hello \"quoted\""});
     EXPECT_EQ(writer.lines(), 2u);
   }
@@ -281,7 +281,8 @@ TEST(ExportTest, ChromeTraceWriterProducesLoadableJson) {
   const std::string path = "test_telemetry_trace.json";
   {
     telemetry::ChromeTraceWriter writer;
-    telemetry::record_event({2.0, "crash", "", 7, 0, 1, false});
+    telemetry::event_bus().publish(
+        {2, TraceEventType::kCrash, 7, 0, false, 2.0, 1});
     {
       TELEM_SCOPE("test.traced_scope");
     }
@@ -367,24 +368,11 @@ TEST(TelemetryIntegrationTest, TraceBusFeedsMultipleSubscribers) {
   Engine engine(small_population(5), config);
   std::size_t seen_a = 0;
   std::size_t seen_b = 0;
-  engine.set_trace([&](const TraceEvent&) { ++seen_a; });
+  engine.trace_bus().subscribe([&](const TraceEvent&) { ++seen_a; });
   engine.trace_bus().subscribe([&](const TraceEvent&) { ++seen_b; });
   engine.run_until_converged(500);
   EXPECT_GT(seen_a, 0u);
   EXPECT_EQ(seen_a, seen_b);
-}
-
-TEST(TelemetryIntegrationTest, SetTraceReplacesPreviousObserver) {
-  EngineConfig config;
-  config.seed = 5;
-  Engine engine(small_population(5), config);
-  std::size_t old_count = 0;
-  std::size_t new_count = 0;
-  engine.set_trace([&](const TraceEvent&) { ++old_count; });
-  engine.set_trace([&](const TraceEvent&) { ++new_count; });
-  engine.run_until_converged(500);
-  EXPECT_EQ(old_count, 0u);
-  EXPECT_GT(new_count, 0u);
 }
 
 TEST(TelemetryIntegrationTest, AsyncTraceBusSurvivesSetOracle) {
@@ -398,46 +386,6 @@ TEST(TelemetryIntegrationTest, AsyncTraceBusSurvivesSetOracle) {
   engine.set_oracle(make_oracle(OracleKind::kRandomDelay));
   engine.run_until_converged(500.0);
   EXPECT_GT(seen, 0u);
-}
-
-TEST(TelemetryIntegrationTest, RecorderViaBusMatchesDirectFeed) {
-  // Porting FailoverRecorder from set_trace to a bus subscription must
-  // not change its measurements: run the same faulty scenario both
-  // ways and compare every aggregate.
-  auto run = [](bool via_bus, std::uint64_t& suspicions, double& orphan_sum,
-                std::uint64_t& detections) {
-    fault::FaultPlan plan;
-    plan.add(fault::FaultPlan::crashes(10.0, 40.0, 0.03, 5.0));
-    AsyncConfig config;
-    config.seed = 21;
-    config.faults = std::make_shared<fault::FaultInjector>(plan, 77);
-    AsyncEngine engine(small_population(21), config);
-    metrics::FailoverRecorder recorder(engine.overlay());
-    if (via_bus) {
-      recorder.subscribe(engine.trace_bus());
-    } else {
-      engine.set_trace(
-          [&](const TraceEvent& event) { recorder.on_trace(event); });
-    }
-    engine.run_for(80.0);
-    suspicions = recorder.suspicions();
-    orphan_sum = recorder.orphan_time().empty()
-                     ? 0.0
-                     : recorder.orphan_time().mean() *
-                           static_cast<double>(recorder.orphan_time().size());
-    detections = recorder.detections();
-  };
-  std::uint64_t s1 = 0;
-  std::uint64_t s2 = 0;
-  std::uint64_t d1 = 0;
-  std::uint64_t d2 = 0;
-  double o1 = 0.0;
-  double o2 = 0.0;
-  run(false, s1, o1, d1);
-  run(true, s2, o2, d2);
-  EXPECT_EQ(s1, s2);
-  EXPECT_DOUBLE_EQ(o1, o2);
-  EXPECT_EQ(d1, d2);
 }
 
 TEST(TelemetryIntegrationTest, EventsCarryEpochAndCause) {
@@ -637,48 +585,37 @@ TEST(SpanIntegrationTest, DisabledTelemetryLeavesReportIdentical) {
 TEST(TelemetryIntegrationTest, OverlayMutatorsEmitEdgeEvents) {
   TelemetryGuard guard(true);
   std::vector<std::string> names;
+  std::vector<double> times;
   const auto sub = telemetry::event_bus().subscribe(
-      [&](const telemetry::EventRecord& record) {
-        names.push_back(record.name);
+      [&](const TraceEvent& event) {
+        names.push_back(to_string(event.type));
+        times.push_back(event.when);
       });
-  Overlay overlay(chain_population());
+  // A bare overlay (a snapshot, a witness) publishes nothing.
+  Overlay bare(chain_population());
+  bare.attach(1, kSourceId);
+  bare.set_offline(1);
+  EXPECT_TRUE(names.empty());
+
+  // A runtime-owned one publishes every change, stamped by the
+  // runtime's clock, not by the process-wide sim_now().
+  telemetry::note_sim_time(99.0);
+  RuntimeConfig config;
+  NodeRuntime runtime(chain_population(), config, /*timeout_limit=*/4);
+  runtime.advance_to(3.0);
+  Overlay& overlay = runtime.overlay();
   overlay.attach(1, kSourceId);
   overlay.attach(2, 1);
   overlay.set_offline(2);  // emits the edge_detach AND node_offline
   overlay.set_online(2);
+  // Copies drop the outlet.
+  Overlay copy(overlay);
+  copy.attach(2, 1);
   telemetry::event_bus().unsubscribe(sub);
   EXPECT_EQ(names, (std::vector<std::string>{"edge_attach", "edge_attach",
                                              "edge_detach", "node_offline",
                                              "node_online"}));
-}
-
-TEST(TelemetryIntegrationTest, SetTraceReturnsUnsubscribableToken) {
-  // Regression: set_trace used to discard the bus token, so callers
-  // could replace the observer but never cleanly remove their own.
-  EngineConfig config;
-  config.seed = 5;
-  Engine engine(small_population(5), config);
-  std::size_t seen = 0;
-  const auto token =
-      engine.set_trace([&](const TraceEvent&) { ++seen; });
-  EXPECT_NE(token, 0u);
-  EXPECT_TRUE(engine.trace_bus().unsubscribe(token));
-  engine.run_until_converged(500);
-  EXPECT_EQ(seen, 0u);
-  EXPECT_EQ(engine.set_trace(nullptr), 0u);  // disabling yields no token
-}
-
-TEST(TelemetryIntegrationTest, AsyncSetTraceReturnsUnsubscribableToken) {
-  AsyncConfig config;
-  config.seed = 9;
-  AsyncEngine engine(small_population(9), config);
-  std::size_t seen = 0;
-  const auto token =
-      engine.set_trace([&](const TraceEvent&) { ++seen; });
-  EXPECT_NE(token, 0u);
-  EXPECT_TRUE(engine.trace_bus().unsubscribe(token));
-  engine.run_until_converged(500.0);
-  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(times, std::vector<double>(5, 3.0));
 }
 
 TEST(TraceEventTest, TypeNamesAreStable) {
@@ -686,6 +623,11 @@ TEST(TraceEventTest, TypeNamesAreStable) {
   EXPECT_STREQ(to_string(TraceEventType::kEpochFenced), "epoch_fenced");
   EXPECT_STREQ(to_string(TraceEventType::kFailoverAttach),
                "failover_attach");
+  EXPECT_STREQ(to_string(TraceEventType::kEdgeAttach), "edge_attach");
+  EXPECT_STREQ(to_string(TraceEventType::kNodeOnline), "node_online");
+  EXPECT_FALSE(telemetry::structural(TraceEventType::kParentQuarantined));
+  EXPECT_TRUE(telemetry::structural(TraceEventType::kEdgeAttach));
+  EXPECT_TRUE(telemetry::structural(TraceEventType::kNodeOnline));
 }
 
 }  // namespace
