@@ -10,9 +10,10 @@
 //     starved children sit and starve: the established subscribers'
 //     deadline-miss rate collapses with the crowd.
 //   defenses on — Oracle admission control (retry-after + breaker)
-//     spreads the stampede, relays shed deadline-aware (most slack l_i
-//     first) with reduced fanout while degraded, and starved children
-//     re-parent through the suspicion/failover ladder: the miss rate
+//     spreads the stampede, relays shed deadline-aware (RelayPolicy:
+//     the most slack in a subtree first) with reduced fanout while
+//     degraded, and starved children re-parent through the
+//     suspicion/failover ladder (LiveConfig's live-only rules): the miss rate
 //     stays within a bounded factor of the uncongested baseline.
 //
 // The headline metric is the established-subscriber deadline-miss rate:
@@ -81,10 +82,10 @@ CellResult run_cell(bool storm, bool defended, std::uint32_t budget,
     config.capacity.relay_budget = budget;
     config.capacity.queue_limit = 24;
     config.capacity.shedding = defended;
-    // Chronic-only escalation (the CapacityConfig default, pinned here
+    // Chronic-only escalation (the LiveConfig default, pinned here
     // because the sweep's shape depends on it): eager re-parenting
     // during the storm detach-thrashes and outdamages the overload.
-    config.capacity.starve_limit = 30;
+    config.starve_limit = 30;
     if (defended) {
       // Oracle admission: sized so the steady established trickle is
       // admitted but a one-tick stampede of the whole crowd saturates

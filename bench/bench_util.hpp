@@ -85,8 +85,9 @@ inline constexpr FlagSpec kBenchFlags[] = {
 ///                     latch a run's convergence round (default 1)
 ///   --log-level L     logger threshold: trace|debug|info|warn|error|off
 ///
-/// A malformed number or a --name the bench does not know prints the
-/// usage line and exits with status 2.
+/// A malformed number, a count (--peers, --trials, --max-rounds,
+/// --stability-rounds) below 1 or a --name the bench does not know
+/// prints the usage line and exits with status 2.
 struct BenchOptions {
   std::size_t peers = 120;
   int trials = 5;
@@ -123,11 +124,12 @@ struct BenchOptions {
  private:
   static BenchOptions from_flags(const Flags& flags, int argc, char** argv) {
     BenchOptions options;
-    options.peers =
-        static_cast<std::size_t>(flags.get_int("peers", 120));
-    options.trials = static_cast<int>(flags.get_int("trials", 5));
-    options.max_rounds =
-        static_cast<Round>(flags.get_int("max-rounds", 3000));
+    options.peers = static_cast<std::size_t>(
+        flags.get_int_in("peers", 120, 1, kMaxCountFlag));
+    options.trials =
+        static_cast<int>(flags.get_int_in("trials", 5, 1, kMaxCountFlag));
+    options.max_rounds = static_cast<Round>(
+        flags.get_int_in("max-rounds", 3000, 1, kMaxRoundsFlag));
     options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     options.csv_prefix = flags.get_string("csv", "");
     options.json_prefix = flags.get_string("json", "");
@@ -141,8 +143,8 @@ struct BenchOptions {
     // --health-out implies --health: a stream needs the recorder.
     options.health =
         flags.get_bool("health", false) || !options.health_out.empty();
-    options.stability_rounds =
-        static_cast<int>(flags.get_int("stability-rounds", 1));
+    options.stability_rounds = static_cast<int>(
+        flags.get_int_in("stability-rounds", 1, 1, kMaxCountFlag));
     // --perf implies --telemetry: rounds and message complexity are
     // read as deltas of the metrics-registry counters. --health does
     // too, for the per-subsystem message deltas in its samples.
@@ -325,7 +327,7 @@ class TelemetryExport {
     }
     if (options.health) {
       telemetry::OverlayHealthRecorder::Config config;
-      config.stability_rounds = std::max(1, options.stability_rounds);
+      config.stability_rounds = options.stability_rounds;
       health_ = std::make_unique<telemetry::OverlayHealthRecorder>(config);
       if (!options.health_out.empty() &&
           !health_->set_stream(options.health_out))

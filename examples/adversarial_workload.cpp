@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const auto [k, seed] = read_flags_or_exit(
       argc, argv, {{"k", "N"}, {"seed", "S"}}, [](const Flags& flags) {
         return std::tuple(
-            static_cast<int>(flags.get_int("k", 4)),
+            static_cast<int>(flags.get_int_in("k", 4, 1, kMaxCountFlag)),
             static_cast<std::uint64_t>(flags.get_int("seed", 3)));
       });
 

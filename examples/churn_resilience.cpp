@@ -37,9 +37,11 @@ int main(int argc, char** argv) {
       argc, argv, {{"peers", "N"}, {"seed", "S"}, {"rounds", "R"}},
       [](const Flags& flags) {
         return std::tuple(
-            static_cast<std::size_t>(flags.get_int("peers", 120)),
+            static_cast<std::size_t>(
+                flags.get_int_in("peers", 120, 1, kMaxCountFlag)),
             static_cast<std::uint64_t>(flags.get_int("seed", 11)),
-            static_cast<Round>(flags.get_int("rounds", 600)));
+            static_cast<Round>(
+                flags.get_int_in("rounds", 600, 1, kMaxRoundsFlag)));
       });
 
   WorkloadParams params;

@@ -63,18 +63,6 @@ AlgorithmKind parse_algorithm(const std::string& name) {
   throw InvalidArgument("unknown algorithm (use greedy|hybrid): " + name);
 }
 
-/// --name as an integer in [min, max]; a usage error otherwise.
-std::int64_t get_int_in(const Flags& flags, const char* name,
-                        std::int64_t fallback, std::int64_t min,
-                        std::int64_t max) {
-  const std::int64_t value = flags.get_int(name, fallback);
-  if (value < min || value > max)
-    throw InvalidArgument("--" + std::string(name) + " must be in [" +
-                          std::to_string(min) + ", " + std::to_string(max) +
-                          "]");
-  return value;
-}
-
 /// --name as a number > 0; a usage error otherwise.
 double get_positive(const Flags& flags, const char* name, double fallback) {
   const double value = flags.get_double(name, fallback);
@@ -105,7 +93,7 @@ int cmd_generate(int argc, Args argv) {
       [](const Flags& flags) {
         WorkloadParams params;
         params.peers = static_cast<std::size_t>(
-            get_int_in(flags, "peers", 120, 1, std::int64_t{1} << 20));
+            flags.get_int_in("peers", 120, 1, kMaxCountFlag));
         params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
         return std::tuple(parse_kind(flags.get_string("kind", "rand")), params,
                           flags.get_string("out", ""));
@@ -154,9 +142,8 @@ int cmd_construct(int argc, Args argv) {
             config.oracle = parse_oracle(flags.get_string("oracle", "o3"));
             config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
             return std::tuple(flags.get_string("population", ""), config,
-                              static_cast<Round>(get_int_in(
-                                  flags, "max-rounds", 5000, 0,
-                                  std::int64_t{1} << 40)),
+                              static_cast<Round>(flags.get_int_in(
+                                  "max-rounds", 5000, 0, kMaxRoundsFlag)),
                               flags.get_string("snapshot", ""));
           });
   Engine engine(load_population(population_path), config);

@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
       argc, argv, {{"peers", "N"}, {"stripes", "K"}, {"seed", "S"}},
       [](const Flags& flags) {
         return std::tuple(
-            static_cast<std::size_t>(flags.get_int("peers", 90)),
-            static_cast<int>(flags.get_int("stripes", 3)),
+            static_cast<std::size_t>(
+                flags.get_int_in("peers", 90, 1, kMaxCountFlag)),
+            static_cast<int>(
+                flags.get_int_in("stripes", 3, 1, kMaxCountFlag)),
             static_cast<std::uint64_t>(flags.get_int("seed", 21)));
       });
 

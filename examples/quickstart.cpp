@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   const auto [peers, seed] = read_flags_or_exit(
       argc, argv, {{"peers", "N"}, {"seed", "S"}}, [](const Flags& flags) {
         return std::tuple(
-            static_cast<std::size_t>(flags.get_int("peers", 120)),
+            static_cast<std::size_t>(
+                flags.get_int_in("peers", 120, 1, kMaxCountFlag)),
             static_cast<std::uint64_t>(flags.get_int("seed", 42)));
       });
 

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
       argc, argv, {{"peers", "N"}, {"seed", "S"}, {"publish-period", "T"}},
       [](const Flags& flags) {
         return std::tuple(
-            static_cast<std::size_t>(flags.get_int("peers", 120)),
+            static_cast<std::size_t>(
+                flags.get_int_in("peers", 120, 1, kMaxCountFlag)),
             static_cast<std::uint64_t>(flags.get_int("seed", 7)),
             flags.get_double("publish-period", 3.0));
       });

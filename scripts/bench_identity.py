@@ -14,7 +14,9 @@ In each CMake build tree it runs:
     bench_failover (crash, rejoin and the failover ladder) with
     --events-out and --health-out;
   * bench_reliability (loss, anti-entropy repair, duplicates),
-    bench_push_source (pull and push source) and bench_scenario on each
+    bench_push_source (pull and push source), bench_overload with
+    --trials 1 (the live loop's shed and queue_full drops under the
+    relay-capacity policy) and bench_scenario on each
     examples/scenario_*.json (shed drops in the overload scenario) with
     --spans-out, so the per-item feed span streams (kinds, hops,
     causes) are compared too.
@@ -45,7 +47,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKIPPED = {"bench_micro", "bench_scenario"}
 STREAMED = ("bench_chaos", "bench_fig4_churn", "bench_failover")
-SPANNED = ("bench_reliability", "bench_push_source")
+# Span streams, with each bench's extra flags: bench_overload's default
+# five trials stream ~144 MB, so it runs one trial per cell (~29 MB).
+SPANNED = {"bench_reliability": [], "bench_push_source": [],
+           "bench_overload": ["--trials", "1"]}
 RUN_TIMEOUT_S = 900
 JOBS = min(4, os.cpu_count() or 1)  # benches run in parallel per tree
 
@@ -84,10 +89,10 @@ def runs(names):
             plan.append((name, ["--bench-json", "-",
                                 "--events-out", f"{name}.events.jsonl",
                                 "--health-out", f"{name}.health.jsonl"]))
-    for name in SPANNED:
+    for name, extra in SPANNED.items():
         if name in names:
-            plan.append((name, ["--bench-json", "-",
-                                "--spans-out", f"{name}.spans.jsonl"]))
+            plan.append((name, extra + ["--bench-json", "-",
+                                        "--spans-out", f"{name}.spans.jsonl"]))
     return plan
 
 

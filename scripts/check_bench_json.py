@@ -291,7 +291,6 @@ SCENARIO_ADMISSION_KEYS = ("rate_limit", "window", "retry_after",
                            "breaker_trip_windows", "breaker_cooldown",
                            "breaker_close_windows", "serve_stale")
 SCENARIO_CAPACITY_KEYS = ("relay_budget", "queue_limit", "shedding",
-                          "fanout_factor", "recovery_ticks", "starve_limit",
                           "squeezes")
 SCENARIO_SQUEEZE_KEYS = ("start", "end", "factor")
 SCENARIO_JOIN_STORM_KEYS = ("at", "fraction")
@@ -432,16 +431,6 @@ def check_scenario(path, doc):
                                         or capacity[key] < 0):
                     fail(path, f"scenario overload.capacity.{key} must "
                                "be an integer >= 0")
-            factor = capacity.get("fanout_factor")
-            if factor is not None and (not isinstance(factor, NUMERIC)
-                                       or not 0 < factor <= 1):
-                fail(path, "scenario overload.capacity.fanout_factor must "
-                           "be in (0, 1]")
-            for key in ("recovery_ticks", "starve_limit"):
-                if key in capacity and (not isinstance(capacity[key], int)
-                                        or capacity[key] < 1):
-                    fail(path, f"scenario overload.capacity.{key} must "
-                               "be an integer >= 1")
             for j, squeeze in enumerate(capacity.get("squeezes", []), 1):
                 scenario_keys(path, f"overload.capacity.squeezes[{j}]",
                               squeeze, SCENARIO_SQUEEZE_KEYS)

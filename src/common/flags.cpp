@@ -62,6 +62,17 @@ std::int64_t Flags::get_int(const std::string& name,
   return value;
 }
 
+std::int64_t Flags::get_int_in(const std::string& name,
+                               std::int64_t fallback, std::int64_t min,
+                               std::int64_t max) const {
+  const std::int64_t value = get_int(name, fallback);
+  if (value < min || value > max)
+    throw InvalidArgument("--" + name + " must be in [" +
+                          std::to_string(min) + ", " + std::to_string(max) +
+                          "]");
+  return value;
+}
+
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

@@ -24,6 +24,9 @@ class Flags {
   /// Numeric getters throw InvalidArgument (a usage error, naming the
   /// flag) when the value is empty, malformed or out of range.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int that also throws when the value lies outside [min, max].
+  std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
+                          std::int64_t min, std::int64_t max) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
@@ -38,6 +41,13 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Bounds of the count flags the programs share: populations, trials
+/// and repetitions up to kMaxCountFlag, round budgets up to
+/// kMaxRoundsFlag — wide enough for any run that can finish, narrow
+/// enough that no narrowing cast wraps.
+inline constexpr std::int64_t kMaxCountFlag = std::int64_t{1} << 20;
+inline constexpr std::int64_t kMaxRoundsFlag = std::int64_t{1} << 40;
 
 /// One flag a program accepts: its --name and the placeholder its usage
 /// line shows for the value ("" for a bare switch).

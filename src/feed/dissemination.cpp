@@ -1,7 +1,6 @@
 #include "feed/dissemination.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -27,16 +26,22 @@ class Dissemination {
       : overlay_(overlay),
         config_(config),
         source_(sim_, config.base.source),
-        rng_(stream) {
+        rng_(stream),
+        policy_(config_.base.capacity, overlay.node_count()),
+        pending_(config.base.capacity.queue_limit != 0 ? overlay.node_count()
+                                                       : 0) {
     LAGOVER_EXPECTS(config.base.poll_period > 0.0);
     LAGOVER_EXPECTS(config.base.hop_delay >= 0.0);
     // An empty book holds no free-riders; normalize so the hot path has
     // a single null check.
     if (config_.adversary != nullptr && config_.adversary->empty())
       config_.adversary.reset();
-    if (!capacity().empty()) {
-      sent_window_.assign(overlay_.node_count(), {-1, 0});
-      pending_.assign(overlay_.node_count(), 0);
+    // The overlay is fixed for the run, so each child's tightest
+    // deadline below it is computed once.
+    if (capacity().shedding && capacity().relay_budget != 0) {
+      for (NodeId id = 0; id < overlay_.node_count(); ++id)
+        tightest_.push_back(static_cast<double>(overlay_.latency_of(id)));
+      policy_.take_subtree_min(overlay_, tightest_);
     }
   }
 
@@ -289,21 +294,14 @@ class Dissemination {
   /// staleness, not items (graceful degradation).
   bool forward(NodeId node, const FeedItem& item, std::uint32_t hop,
                SimTime sent_at) {
-    const std::uint32_t budget = capacity().budget_at(sim_.now());
     bool forwarded = false;
-    for (NodeId child : forward_targets(node)) {
-      if (budget != 0) {
-        auto& state = sent_window_[node];
-        const auto window = static_cast<std::int64_t>(sim_.now());
-        if (state.first != window) state = {window, 0};
-        if (state.second >= budget) {
-          ++shed_pushes_;
-          TELEM_COUNT("feed.shed", 1);
-          record_hop(telemetry::SpanKind::kDrop, child, item, node, hop + 1,
-                     sent_at, "shed");
-          continue;
-        }
-        ++state.second;
+    for (NodeId child : forward_targets(node, item)) {
+      if (!policy_.spend(node, sim_.now())) {
+        ++shed_pushes_;
+        TELEM_COUNT("feed.shed", 1);
+        record_hop(telemetry::SpanKind::kDrop, child, item, node, hop + 1,
+                   sent_at, "shed");
+        continue;
       }
       if (rng_.bernoulli(config_.push_loss)) {
         ++lost_;
@@ -345,22 +343,26 @@ class Dissemination {
     return forwarded;
   }
 
-  /// Online children of `node`, in forwarding order. Deadline-aware
-  /// shedding serves the tightest latency constraints first, so when
-  /// the budget runs out it is the children with the most slack l_i
-  /// (who can absorb staleness) that get shed; ties break by id, so the
-  /// order — and everything downstream of it — stays deterministic.
-  /// The result lives in `targets_`, one buffer reused for every relay:
-  /// forward() reads it before anything else can refill it.
-  const std::vector<NodeId>& forward_targets(NodeId node) {
+  /// Online children of `node`, in forwarding order. Under shedding
+  /// with a budget, children rank by `item`'s urgency against the
+  /// tightest deadline in their subtrees, so when the budget runs out
+  /// the children whose subtrees have the most slack (who can absorb
+  /// staleness) are the ones shed; ties break by id, so the order — and
+  /// everything downstream of it — stays deterministic. The result
+  /// lives in `targets_`, one buffer reused for every relay: forward()
+  /// reads it before anything else can refill it.
+  const std::vector<NodeId>& forward_targets(NodeId node,
+                                             const FeedItem& item) {
     targets_.clear();
     for (NodeId child : overlay_.children(node))
       if (overlay_.online(child)) targets_.push_back(child);
-    if (!capacity().empty() && capacity().shedding && targets_.size() > 1)
+    if (!tightest_.empty() && targets_.size() > 1) {
+      const auto key = [&, now = sim_.now()](NodeId child) {
+        return RelayPolicy::urgency(item.published_at, tightest_[child], now);
+      };
       std::stable_sort(targets_.begin(), targets_.end(),
-                       [this](NodeId a, NodeId b) {
-                         return overlay_.latency_of(a) < overlay_.latency_of(b);
-                       });
+                       [&key](NodeId a, NodeId b) { return key(a) < key(b); });
+    }
     return targets_;
   }
 
@@ -383,46 +385,28 @@ class Dissemination {
                           [this, node] { recover(node); });
       return;
     }
+    // The parent answers after one hop delay with every item it has
+    // that `node` lacks (the gaps up to its high-water mark). Blanket
+    // anti-entropy pulls once per period; a NACK names exactly the gaps
+    // and is sent only when there are some — the same repair set with
+    // strictly fewer repair messages.
     const auto& parent_got = receipts_[parent].got;
-    if (config_.repair == RepairMode::kNack) {
-      // Gap detection: scan the sequence space up to the parent's
-      // high-water mark and NACK exactly the missing numbers — but only
-      // when there is something to ask for. Identical repair set to the
-      // blanket pull, strictly fewer repair messages.
-      gaps_.clear();
-      for (std::uint64_t seq = 1; seq < parent_got.size(); ++seq)
-        if (parent_got[seq] != 0 && !has(node, seq)) gaps_.push_back(seq);
-      if (!gaps_.empty()) {
-        ++recovery_pulls_;
-        nacked_items_ += gaps_.size();
-        const std::uint32_t hop =
-            static_cast<std::uint32_t>(overlay_.delay_at(node));
-        const SimTime sent_at = sim_.now();
-        for (const std::uint64_t seq : gaps_) {
-          const FeedItem item = source_.items()[seq - 1];
-          sim_.schedule_after(config_.base.hop_delay,
-                              [this, node, item, parent, hop, sent_at] {
-            deliver(node, item, /*via_recovery=*/true, parent, hop, sent_at,
-                    "nack");
-          });
-        }
-      }
-    } else {
-      // Blanket anti-entropy: one pull per tick, the parent answers
-      // with everything it has that we lack, after one hop delay.
-      ++recovery_pulls_;
-      const std::uint32_t hop =
-          static_cast<std::uint32_t>(overlay_.delay_at(node));
-      const SimTime sent_at = sim_.now();
-      for (std::uint64_t seq = 1; seq < parent_got.size(); ++seq) {
-        if (parent_got[seq] == 0 || has(node, seq)) continue;
-        const FeedItem item = source_.items()[seq - 1];
-        sim_.schedule_after(config_.base.hop_delay,
-                            [this, node, item, parent, hop, sent_at] {
-          deliver(node, item, /*via_recovery=*/true, parent, hop, sent_at,
-                  "anti_entropy");
-        });
-      }
+    gaps_.clear();
+    for (std::uint64_t seq = 1; seq < parent_got.size(); ++seq)
+      if (parent_got[seq] != 0 && !has(node, seq)) gaps_.push_back(seq);
+    const bool nack = config_.repair == RepairMode::kNack;
+    if (!nack || !gaps_.empty()) ++recovery_pulls_;
+    if (nack) nacked_items_ += gaps_.size();
+    const auto hop = static_cast<std::uint32_t>(overlay_.delay_at(node));
+    const SimTime sent_at = sim_.now();
+    const char* cause = nack ? "nack" : "anti_entropy";
+    for (const std::uint64_t seq : gaps_) {
+      const FeedItem item = source_.items()[seq - 1];
+      sim_.schedule_after(config_.base.hop_delay,
+                          [this, node, item, parent, hop, sent_at, cause] {
+        deliver(node, item, /*via_recovery=*/true, parent, hop, sent_at,
+                cause);
+      });
     }
     sim_.schedule_after(config_.recovery_period,
                         [this, node] { recover(node); });
@@ -449,10 +433,12 @@ class Dissemination {
   std::uint64_t duplicate_pushes_ = 0;
   std::uint64_t nacked_items_ = 0;
   std::uint64_t withheld_ = 0;
-  /// Capacity bookkeeping (sized only when limits are configured):
-  /// per-relay (window index, forwards in it) and per-child pending
-  /// (scheduled but undelivered) forwards.
-  std::vector<std::pair<std::int64_t, std::uint32_t>> sent_window_;
+  /// Capacity bookkeeping, each sized only when its limit is set: the
+  /// relay budget windows, per-node tightest deadline in the subtree
+  /// (shedding), and per-child pending (scheduled but undelivered)
+  /// forwards.
+  RelayPolicy policy_;
+  std::vector<double> tightest_;
   std::vector<std::uint32_t> pending_;
   std::uint64_t shed_pushes_ = 0;
   std::uint64_t queue_drops_ = 0;

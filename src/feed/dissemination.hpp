@@ -27,8 +27,9 @@ struct DisseminationConfig {
   /// poll-period staleness component and all empty polls.
   bool push_source = false;
   SourceConfig source;
-  /// Per-node capacity limits (empty = the unlimited pre-capacity
-  /// behaviour, byte-identical).
+  /// Per-relay capacity limits (empty = the unlimited pre-capacity
+  /// behaviour, byte-identical). With `shedding` and a budget, a relay
+  /// serves its children in RelayPolicy urgency order (overload.hpp).
   CapacityConfig capacity;
   std::uint64_t seed = 1;
 };

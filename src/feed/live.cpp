@@ -10,19 +10,6 @@
 
 namespace lagover::feed {
 
-namespace {
-
-/// Children a degraded relay still serves per tick:
-/// max(1, ceil(children * fanout_factor)).
-std::size_t degraded_fanout(const Overlay& overlay, NodeId relay,
-                            double factor) {
-  const auto children = static_cast<double>(overlay.children(relay).size());
-  const auto cap = static_cast<std::size_t>(std::ceil(children * factor));
-  return std::max<std::size_t>(1, cap);
-}
-
-}  // namespace
-
 LiveReport run_live_dissemination(const Population& population,
                                   const LiveConfig& config) {
   const telemetry::PerfPhase perf_phase("dissemination");
@@ -42,28 +29,34 @@ LiveReport run_live_dissemination(const Population& population,
   report.nodes.resize(overlay.consumer_count());
   for (NodeId id = 1; id < overlay.node_count(); ++id)
     report.nodes[id - 1].node = id;
+  // A span of item `seq` at `node` from `parent`, at `tick`.
+  const auto span_of = [&published_at](telemetry::SpanKind kind,
+                                       std::uint64_t seq, NodeId node,
+                                       NodeId parent, Round tick,
+                                       const char* cause) {
+    telemetry::ItemSpan span;
+    span.item = seq;
+    span.kind = kind;
+    span.node = node;
+    span.parent = parent;
+    span.published_at = static_cast<double>(published_at[seq]);
+    span.start = span.ts = static_cast<double>(tick);
+    span.cause = cause;
+    return span;
+  };
 
   // Capacity-model state (all inert when no limits are configured; the
   // propagation loop below then runs exactly the unlimited code path).
   const CapacityConfig& capacity = config.capacity;
   const bool capacity_on = !capacity.empty();
-  // Per-relay item transfers this tick, children served this tick,
-  // degraded flag + consecutive clean ticks (recovery hysteresis), and
-  // per-child consecutive starved ticks.
-  std::vector<std::uint32_t> sent_this_tick;
-  std::vector<std::uint32_t> served_children;
-  std::vector<char> relay_exhausted;
-  std::vector<char> degraded;
-  std::vector<int> clean_ticks;
-  std::vector<int> starved_ticks;
-  if (capacity_on) {
-    sent_this_tick.assign(overlay.node_count(), 0);
-    served_children.assign(overlay.node_count(), 0);
-    relay_exhausted.assign(overlay.node_count(), 0);
-    degraded.assign(overlay.node_count(), 0);
-    clean_ticks.assign(overlay.node_count(), 0);
-    starved_ticks.assign(overlay.node_count(), 0);
-  }
+  RelayPolicy policy(capacity, overlay.node_count());
+  // Children served this tick, degraded flag + consecutive clean ticks
+  // (recovery hysteresis), and per-child consecutive starved ticks.
+  const std::size_t slots = capacity_on ? overlay.node_count() : 0;
+  std::vector<std::uint32_t> served_children(slots);
+  std::vector<char> degraded(slots);
+  std::vector<int> clean_ticks(slots);
+  std::vector<int> starved_ticks(slots);
 
   const Round total_rounds = config.warmup_rounds + config.measured_rounds;
   for (Round tick = 1; tick <= total_rounds; ++tick) {
@@ -76,71 +69,36 @@ LiveReport run_live_dissemination(const Population& population,
       ++source_seq;
       published_at.push_back(tick);
       if (tick > config.warmup_rounds) ++report.items_published;
-      if (telemetry::enabled()) {
-        telemetry::ItemSpan span;
-        span.item = source_seq;
-        span.kind = telemetry::SpanKind::kPublish;
-        span.node = kSourceId;
-        span.published_at = static_cast<double>(tick);
-        span.start = span.ts = static_cast<double>(tick);
-        telemetry::record_span(span);
-      }
+      if (telemetry::enabled())
+        telemetry::record_span(span_of(telemetry::SpanKind::kPublish,
+                                       source_seq, kSourceId, kNoNode, tick,
+                                       ""));
     }
 
     // Synchronous one-hop propagation over the *current* tree. With
     // capacity limits, each relay transfers at most budget_at(tick)
     // items this tick; the visit order decides who gets served before
-    // the budget runs out — deadline-aware (tightest l_i first) under
-    // the shedding policy, plain id order (arbitrary tail drops) when
+    // the budget runs out — by urgency under the shedding policy (a
+    // node's key is its next pending item's, lowered to the least in
+    // its subtree), plain id order (arbitrary tail drops) when
     // undefended.
     std::vector<std::uint64_t> previous = last_seq;
-    const std::uint32_t tick_budget =
-        capacity_on ? capacity.budget_at(static_cast<double>(tick)) : 0;
-    if (capacity_on) {
-      std::fill(sent_this_tick.begin(), sent_this_tick.end(), 0);
+    const auto now = static_cast<double>(tick);
+    if (capacity_on)
       std::fill(served_children.begin(), served_children.end(), 0);
-      std::fill(relay_exhausted.begin(), relay_exhausted.end(), 0);
-    }
     std::vector<NodeId> visit;
     visit.reserve(overlay.node_count() - 1);
     for (NodeId id = 1; id < overlay.node_count(); ++id) visit.push_back(id);
     if (capacity_on && capacity.shedding) {
-      // Deadline-aware (EDF) shedding order. A node's urgency is the
-      // slack of its next pending item: published_at + l_i - now. Nodes
-      // whose next item can still arrive on time go first (tightest
-      // slack first) so scarce budget buys on-time deliveries; nodes
-      // already past their deadline — a joined crowd catching up — go
-      // last (least-late first): their misses are sunk either way, so
-      // they absorb the staleness. This is what makes degradation
-      // graceful: overload costs the slack-rich staleness, not the
-      // slack-poor their deadlines.
-      constexpr double kLateBase = 1e9;   // already-late band
-      constexpr double kNoPending = 2e9;  // nothing to send: order moot
-      std::vector<double> urgency(overlay.node_count(), kNoPending);
+      std::vector<double> urgency(overlay.node_count(), RelayPolicy::kIdle);
       for (NodeId id = 1; id < overlay.node_count(); ++id) {
         const std::uint64_t next = previous[id] + 1;
         if (next >= published_at.size()) continue;
-        const double slack =
-            static_cast<double>(published_at[next]) +
-            static_cast<double>(overlay.latency_of(id)) -
-            static_cast<double>(tick);
-        urgency[id] = slack >= 0.0 ? slack : kLateBase - slack;
+        urgency[id] = RelayPolicy::urgency(
+            static_cast<double>(published_at[next]),
+            static_cast<double>(overlay.latency_of(id)), now);
       }
-      // A relay is as urgent as the most urgent node in its subtree:
-      // a backlogged relay looks hopeless by its own slack, but serving
-      // it is exactly what unblocks an on-time delivery downstream of
-      // it. Propagate the minimum deep-to-shallow (one pass, since
-      // depth strictly decreases parent-ward).
-      std::vector<NodeId> by_depth = visit;
-      std::stable_sort(by_depth.begin(), by_depth.end(),
-                       [&](NodeId a, NodeId b) {
-                         return overlay.delay_at(a) > overlay.delay_at(b);
-                       });
-      for (NodeId id : by_depth) {
-        const NodeId parent = overlay.parent(id);
-        if (parent == kNoNode || parent == kSourceId) continue;
-        urgency[parent] = std::min(urgency[parent], urgency[id]);
-      }
+      policy.take_subtree_min(overlay, urgency);
       std::stable_sort(visit.begin(), visit.end(), [&](NodeId a, NodeId b) {
         return urgency[a] < urgency[b];
       });
@@ -151,26 +109,25 @@ LiveReport run_live_dissemination(const Population& population,
       if (parent == kNoNode) continue;
       const std::uint64_t target =
           parent == kSourceId ? source_seq_prev : previous[parent];
-      // Fanout gate: a degraded relay serves fewer distinct children
-      // per tick, concentrating its budget on the tightest deadlines.
+      // Fanout gate: a degraded relay serves at most max(1,
+      // ceil(children * fanout_factor)) distinct children per tick,
+      // concentrating its budget on the tightest deadlines.
       bool cut_off = false;
       std::uint64_t deliver_to = target;
       if (capacity_on && capacity.shedding && degraded[parent] != 0 &&
           target > previous[id] &&
           served_children[parent] >=
-              degraded_fanout(overlay, parent, capacity.fanout_factor)) {
+              std::max(1.0, std::ceil(static_cast<double>(
+                                          overlay.children(parent).size()) *
+                                      config.fanout_factor))) {
         deliver_to = previous[id];
         cut_off = true;
       }
       std::uint64_t delivered_to = previous[id];
       for (std::uint64_t seq = previous[id] + 1; seq <= deliver_to; ++seq) {
-        if (capacity_on && tick_budget != 0) {
-          if (sent_this_tick[parent] >= tick_budget) {
-            cut_off = true;
-            relay_exhausted[parent] = 1;
-            break;
-          }
-          ++sent_this_tick[parent];
+        if (capacity_on && !policy.spend(parent, now)) {
+          cut_off = true;
+          break;
         }
         const Round staleness = tick - published_at[seq];
         if (published_at[seq] > config.warmup_rounds) {
@@ -185,16 +142,12 @@ LiveReport run_live_dissemination(const Population& population,
               std::max(stats.max_staleness, static_cast<double>(staleness));
         }
         if (telemetry::enabled()) {
-          telemetry::ItemSpan span;
-          span.item = seq;
-          span.kind = parent == kSourceId ? telemetry::SpanKind::kSourcePoll
-                                          : telemetry::SpanKind::kDeliver;
-          span.node = id;
-          span.parent = parent;
+          telemetry::ItemSpan span =
+              span_of(parent == kSourceId ? telemetry::SpanKind::kSourcePoll
+                                          : telemetry::SpanKind::kDeliver,
+                      seq, id, parent, tick, "");
           span.hop = static_cast<std::uint32_t>(overlay.delay_at(id));
-          span.published_at = static_cast<double>(published_at[seq]);
           span.start = static_cast<double>(tick - 1);
-          span.ts = static_cast<double>(tick);
           span.deadline = static_cast<double>(overlay.latency_of(id));
           span.epoch = engine.epochs().epoch(id);
           telemetry::record_span(span);
@@ -214,25 +167,17 @@ LiveReport run_live_dissemination(const Population& population,
         // when capacity allows — every deferred transfer costs
         // staleness, which is exactly graceful degradation.
         report.shed_items += backlog;
-        if (telemetry::enabled()) {
-          telemetry::ItemSpan span;
-          span.item = last_seq[id] + 1;
-          span.kind = telemetry::SpanKind::kDrop;
-          span.node = id;
-          span.parent = parent;
-          span.published_at =
-              static_cast<double>(published_at[last_seq[id] + 1]);
-          span.start = span.ts = static_cast<double>(tick);
-          span.cause = "shed";
-          telemetry::record_span(span);
-        }
+        if (telemetry::enabled())
+          telemetry::record_span(span_of(telemetry::SpanKind::kDrop,
+                                         last_seq[id] + 1, id, parent, tick,
+                                         "shed"));
       }
       // Starvation escalation: a child that wanted items and received
       // none for starve_limit consecutive ticks abandons its overloaded
       // parent through the suspicion/failover ladder (policy only —
       // undefended children just sit and starve).
       if (backlog > 0 && delivered_to == previous[id]) {
-        if (++starved_ticks[id] >= capacity.starve_limit &&
+        if (++starved_ticks[id] >= config.starve_limit &&
             capacity.shedding) {
           engine.escalate_starvation(id);
           starved_ticks[id] = 0;
@@ -246,20 +191,11 @@ LiveReport run_live_dissemination(const Population& population,
         const std::uint64_t drop = backlog - capacity.queue_limit;
         report.queue_drops += drop;
         TELEM_COUNT("feed.queue_dropped", drop);
-        if (telemetry::enabled()) {
+        if (telemetry::enabled())
           for (std::uint64_t seq = last_seq[id] + 1;
-               seq <= last_seq[id] + drop; ++seq) {
-            telemetry::ItemSpan span;
-            span.item = seq;
-            span.kind = telemetry::SpanKind::kDrop;
-            span.node = id;
-            span.parent = parent;
-            span.published_at = static_cast<double>(published_at[seq]);
-            span.start = span.ts = static_cast<double>(tick);
-            span.cause = "queue_full";
-            telemetry::record_span(span);
-          }
-        }
+               seq <= last_seq[id] + drop; ++seq)
+            telemetry::record_span(span_of(telemetry::SpanKind::kDrop, seq,
+                                           id, parent, tick, "queue_full"));
         last_seq[id] += drop;
       }
     }
@@ -269,12 +205,12 @@ LiveReport run_live_dissemination(const Population& population,
     // ticks restore full fanout.
     if (capacity_on && capacity.shedding) {
       for (NodeId relay = 0; relay < overlay.node_count(); ++relay) {
-        if (relay_exhausted[relay] != 0) {
+        if (policy.exhausted(relay, now)) {
           if (degraded[relay] == 0) TELEM_COUNT("feed.relay_degraded", 1);
           degraded[relay] = 1;
           clean_ticks[relay] = 0;
         } else if (degraded[relay] != 0 &&
-                   ++clean_ticks[relay] >= capacity.recovery_ticks) {
+                   ++clean_ticks[relay] >= config.recovery_ticks) {
           degraded[relay] = 0;
           clean_ticks[relay] = 0;
         }

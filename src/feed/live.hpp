@@ -32,14 +32,33 @@ struct LiveConfig {
   Round publish_every = 3;
   Round warmup_rounds = 50;  ///< construction before measurement starts
   Round measured_rounds = 400;
-  /// Per-relay capacity limits + degradation policy. Empty = the
-  /// unlimited pre-capacity behaviour, byte-identical. With limits set,
-  /// a relay transfers at most budget_at(tick) items per tick; with
-  /// `capacity.shedding` on it sheds deadline-aware (most slack first),
-  /// reduces fanout while degraded (with hysteresis on recovery), and
-  /// persistently starved children re-parent through the engine's
-  /// suspicion/failover ladder.
+  /// Per-relay capacity limits. Empty = the unlimited pre-capacity
+  /// behaviour, byte-identical. With limits set, a relay transfers at
+  /// most budget_at(tick) items per tick and a child's backlog beyond
+  /// queue_limit loses its oldest items; with `capacity.shedding` on,
+  /// nodes are served by RelayPolicy urgency and the three rules below
+  /// apply as well.
   CapacityConfig capacity;
+  // Live-only degradation rules, in force with `capacity.shedding` and
+  // a budget. They need a relay that is refused on one tick and serves
+  // again on the next, and the engine's failover ladder to re-parent
+  // through; a push run over a fixed overlay has neither.
+
+  /// While degraded, a relay serves at most
+  /// max(1, ceil(children * fanout_factor)) distinct children per tick,
+  /// concentrating its budget on the tightest deadlines.
+  double fanout_factor = 0.5;
+  /// Consecutive budget-clean ticks before a degraded relay returns to
+  /// full fanout — hysteresis so recovery does not flap.
+  int recovery_ticks = 3;
+  /// Consecutive starved ticks before a child escalates through the
+  /// suspicion/failover ladder. Deliberately chronic: during a transient
+  /// squeeze every backlogged child starves for a few ticks, and eager
+  /// re-parenting turns that into a detach storm that outdamages the
+  /// overload itself (a detached relay starves its whole subtree while
+  /// it queues at the admission-limited Oracle). Escalation is the
+  /// remedy for a persistently dead parent, not a busy one.
+  int starve_limit = 30;
   /// Consumers set offline before the first tick (flash-crowd
   /// experiments park the crowd until a FlashCrowdChurn in `churn`
   /// joins them all at once). Empty = no change.

@@ -39,20 +39,6 @@ struct FaultDecision {
 /// layer stays independent of the fault subsystem that implements it.
 using FaultFilter = std::function<FaultDecision(Address from, Address to)>;
 
-/// Per-node capacity limits (the overload model): a windowed outbound
-/// send budget and a bound on a receiver's in-flight inbound queue.
-/// Zero means unlimited; a default-constructed value leaves the send
-/// path exactly the unlimited one.
-struct CapacityLimits {
-  /// Messages an address may send per unit-time window (0 = unlimited).
-  std::uint32_t send_budget = 0;
-  /// In-flight messages a receiver will accept before new arrivals are
-  /// turned away at the door (0 = unbounded).
-  std::uint32_t queue_limit = 0;
-
-  bool empty() const noexcept { return send_budget == 0 && queue_limit == 0; }
-};
-
 /// Typed network: Message is any copyable payload type. Undeliverable
 /// messages (no registered handler at arrival time) are dropped and
 /// counted, modelling crashes mid-flight.
@@ -89,26 +75,10 @@ class LAGOVER_THREAD_HOSTILE Network {
     fault_filter_ = std::move(filter);
   }
 
-  /// Installs uniform per-node capacity limits (an empty value clears
-  /// them and restores the unlimited send path).
-  void set_capacity(CapacityLimits limits) {
-    capacity_ = limits;
-    if (capacity_.empty()) {
-      send_windows_.clear();
-      in_flight_.clear();
-    }
-  }
-  const CapacityLimits& capacity() const noexcept { return capacity_; }
-
   /// Sends a message; delivery is scheduled after the model latency.
   /// `size_bytes` is accounting-only (0 = count messages, not bytes).
-  /// With capacity limits installed, a sender over its windowed budget
-  /// sheds the message and a receiver at its in-flight bound refuses it
-  /// — both before the fault filter, which models transport faults on
-  /// messages that actually left.
   void send(Address from, Address to, Message message,
             std::size_t size_bytes = 0) {
-    if (!capacity_.empty() && !admit(from, to)) return;
     auto& sent = counters_[from];
     ++sent.messages_sent;
     sent.bytes_sent += size_bytes;
@@ -121,12 +91,6 @@ class LAGOVER_THREAD_HOSTILE Network {
       if (fate.drop) {
         ++fault_dropped_;
         TELEM_COUNT("net.fault_dropped", 1);
-        // The message left the sender but never arrives: release the
-        // in-flight slot admit() reserved at the receiver.
-        if (capacity_.queue_limit != 0) {
-          auto& depth = in_flight_[to];
-          if (depth > 0) --depth;
-        }
         return;
       }
       if (fate.extra_delay > 0.0) {
@@ -156,45 +120,9 @@ class LAGOVER_THREAD_HOSTILE Network {
   std::uint64_t fault_dropped() const noexcept { return fault_dropped_; }
   std::uint64_t fault_delayed() const noexcept { return fault_delayed_; }
   std::uint64_t fault_duplicated() const noexcept { return fault_duplicated_; }
-  /// Messages shed at the sender (send budget exhausted) and refused at
-  /// the receiver (in-flight queue full) by the capacity model.
-  std::uint64_t shed() const noexcept { return shed_; }
-  std::uint64_t queue_dropped() const noexcept { return queue_dropped_; }
-  /// Current in-flight inbound queue depth of an address.
-  std::uint64_t queue_depth(Address address) const {
-    const auto it = in_flight_.find(address);
-    return it == in_flight_.end() ? 0 : it->second;
-  }
   Simulator& simulator() noexcept { return sim_; }
 
  private:
-  /// Capacity admission for one message: charges the sender's windowed
-  /// budget and reserves a slot in the receiver's in-flight queue.
-  bool admit(Address from, Address to) {
-    if (capacity_.send_budget != 0) {
-      const auto window = static_cast<std::int64_t>(sim_.now());
-      auto& state = send_windows_[from];
-      if (state.first != window) state = {window, 0};
-      if (state.second >= capacity_.send_budget) {
-        ++shed_;
-        TELEM_COUNT("net.shed", 1);
-        return false;
-      }
-      ++state.second;
-    }
-    if (capacity_.queue_limit != 0) {
-      auto& depth = in_flight_[to];
-      if (depth >= capacity_.queue_limit) {
-        ++queue_dropped_;
-        TELEM_COUNT("net.queue_dropped", 1);
-        return false;
-      }
-      ++depth;
-      TELEM_GAUGE("net.queue_depth", static_cast<double>(depth));
-    }
-    return true;
-  }
-
   /// In-flight messages wait in `parcels_`, and the delivery event
   /// carries only the parcel's index: a payload of any size rides the
   /// simulator's inline actions, and a parcel slot is reused once its
@@ -216,11 +144,6 @@ class LAGOVER_THREAD_HOSTILE Network {
   void deliver(std::size_t index) {
     const Parcel parcel = std::move(parcels_[index]);
     free_parcels_.push_back(index);
-    if (capacity_.queue_limit != 0) {
-      auto& depth = in_flight_[parcel.to];
-      if (depth > 0) --depth;
-      TELEM_GAUGE("net.queue_depth", static_cast<double>(depth));
-    }
     const auto it = handlers_.find(parcel.to);
     if (it == handlers_.end()) {
       ++dropped_;
@@ -250,19 +173,11 @@ class LAGOVER_THREAD_HOSTILE Network {
   std::map<Address, Handler> handlers_;
   std::map<Address, TrafficCounters> counters_;
   FaultFilter fault_filter_;
-  CapacityLimits capacity_;
-  /// Per-sender (window index, messages sent in it) — the windowed
-  /// outbound budget. Only populated while capacity limits are set.
-  std::map<Address, std::pair<std::int64_t, std::uint32_t>> send_windows_;
-  /// Per-receiver in-flight inbound message count.
-  std::map<Address, std::uint64_t> in_flight_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t fault_dropped_ = 0;
   std::uint64_t fault_delayed_ = 0;
   std::uint64_t fault_duplicated_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t queue_dropped_ = 0;
   std::vector<Parcel> parcels_;
   std::vector<std::size_t> free_parcels_;
 };

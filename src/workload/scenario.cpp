@@ -450,8 +450,7 @@ bool parse_capacity_subsection(const Json& json, feed::CapacityConfig& out,
     return false;
   }
   if (!check_keys(json, "overload.capacity",
-                  {"relay_budget", "queue_limit", "shedding", "fanout_factor",
-                   "recovery_ticks", "starve_limit", "squeezes"},
+                  {"relay_budget", "queue_limit", "shedding", "squeezes"},
                   error))
     return false;
   const char* section = "overload.capacity";
@@ -459,18 +458,7 @@ bool parse_capacity_subsection(const Json& json, feed::CapacityConfig& out,
                 section, error) ||
       !read_int(json, "queue_limit", 0, kMaxCount, out.queue_limit, section,
                 error) ||
-      !read_bool(json, "shedding", out.shedding, section, error) ||
-      !read_fraction(json, "fanout_factor", out.fanout_factor, section,
-                     error))
-    return false;
-  if (out.fanout_factor <= 0.0) {
-    set_error(error, "overload.capacity.fanout_factor must be in (0, 1]");
-    return false;
-  }
-  if (!read_int(json, "recovery_ticks", 1, kMaxCount, out.recovery_ticks,
-                section, error) ||
-      !read_int(json, "starve_limit", 1, kMaxCount, out.starve_limit, section,
-                error))
+      !read_bool(json, "shedding", out.shedding, section, error))
     return false;
   if (const Json* squeezes = json.find("squeezes")) {
     if (!squeezes->is_array()) {

@@ -55,9 +55,8 @@
 //                     "retry_after": 2.0, "breaker_trip_windows": 3,
 //                     "breaker_cooldown": 20.0,
 //                     "breaker_close_windows": 2, "serve_stale": true},
-//       "capacity": {"relay_budget": 4, "queue_limit": 16,
-//                    "shedding": true, "fanout_factor": 0.5,
-//                    "recovery_ticks": 3, "starve_limit": 3,
+//       "capacity": {"relay_budget": 4, "queue_limit": 16,  // feed phase
+//                    "shedding": true,
 //                    "squeezes": [{"start": 100, "end": 200,
 //                                  "factor": 0.5}]},
 //       "join_storm": {"at": 50, "fraction": 0.5}  // excludes "churn"

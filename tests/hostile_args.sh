@@ -1,8 +1,9 @@
 #!/bin/sh
 # Hostile-argument check of lagover_inspect, lagover_cli and the example
-# programs: a malformed or out-of-range number, an unknown name and an
-# unknown --flag must each print a usage line to stderr and exit 2,
-# never abort and never run. Invoked by ctest as:
+# programs: a malformed or out-of-range number (a population or round
+# count below 1 among them), an unknown name and an unknown --flag must
+# each print a usage line to stderr and exit 2, never abort and never
+# run. Invoked by ctest as:
 # hostile_args.sh LAGOVER_INSPECT LAGOVER_CLI EXAMPLE...
 INSPECT="$1"
 CLI="$2"
@@ -60,5 +61,17 @@ expect_usage "$CLI" disseminate --snapshot "$DUMP" --no-such-flag
 for example in "$@"; do
   expect_usage "$example" --seed abc
   expect_usage "$example" --no-such-flag
+  case "$(basename "$example")" in
+    quickstart|live_swarm|rss_aggregator)
+      expect_usage "$example" --peers 0 ;;
+    churn_resilience)
+      expect_usage "$example" --peers 0
+      expect_usage "$example" --rounds 0 ;;
+    multipath_video)
+      expect_usage "$example" --peers 0
+      expect_usage "$example" --stripes 0 ;;
+    adversarial_workload)
+      expect_usage "$example" --k 0 ;;
+  esac
 done
 exit $status

@@ -181,10 +181,12 @@ Overlay relay_with_three_children() {
 TEST(DisseminationTest, SaturatedRelayShedsTheMostSlackChild) {
   // One item per unit window reaches the relay, which may forward two
   // per window: deadline-aware shedding serves l = 2 and l = 3 and
-  // sheds node 2 (l = 4) every time — never the tightest child.
+  // sheds node 2 (l = 4) every time — never the tightest child. The
+  // capacity-free run sheds nothing.
   const Overlay overlay = relay_with_three_children();
   feed::DisseminationConfig config;
   config.source.publish_period = 1.0;
+  EXPECT_EQ(feed::run_dissemination(overlay, config, 100.0).shed_pushes, 0u);
   config.capacity.relay_budget = 2;
   config.capacity.shedding = true;
   const auto report = feed::run_dissemination(overlay, config, 100.0);
@@ -195,6 +197,58 @@ TEST(DisseminationTest, SaturatedRelayShedsTheMostSlackChild) {
   EXPECT_GT(report.nodes[3].items, 0u);                 // l = 2
   EXPECT_EQ(report.nodes[2].items, report.nodes[3].items);
   EXPECT_EQ(report.queue_drops, 0u);
+
+  // Undefended, the same budget serves in id order: the tightest child,
+  // node 4 (l = 2), is the one shed every time.
+  config.capacity.shedding = false;
+  const auto undefended = feed::run_dissemination(overlay, config, 100.0);
+  EXPECT_EQ(undefended.shed_pushes, report.shed_pushes);
+  EXPECT_EQ(undefended.nodes[3].items, 0u);
+  EXPECT_EQ(undefended.nodes[1].items, report.nodes[3].items);
+
+  // A budget of three covers all three children, except inside a
+  // squeeze that halves it to one: there the relay serves only the
+  // tightest child and sheds the other two.
+  config.capacity.relay_budget = 3;
+  config.capacity.shedding = true;
+  EXPECT_EQ(feed::run_dissemination(overlay, config, 100.0).shed_pushes, 0u);
+  config.capacity.squeezes.push_back({20.0, 60.0, 0.5});
+  const auto squeezed = feed::run_dissemination(overlay, config, 100.0);
+  EXPECT_GE(squeezed.shed_pushes, 2u * 39u);
+  EXPECT_LE(squeezed.shed_pushes, 2u * 41u);
+  EXPECT_EQ(squeezed.nodes[1].items + squeezed.shed_pushes / 2,
+            squeezed.nodes[3].items);
+  EXPECT_EQ(squeezed.nodes[2].items, squeezed.nodes[1].items);
+}
+
+TEST(DisseminationTest, RelayRanksChildrenByTheTightestDeadlineBelowThem) {
+  // Source -> relay 1 -> {leaf B = 2 (l = 4); A = 3 (l = 6) -> grandchild
+  // 4 (l = 3)}. The relay may forward one item per window. Its child A
+  // is the one to serve: its subtree holds the tightest deadline, which
+  // B's looser l = 4 must not outrank — neither by B's own l being
+  // below A's nor by B's lower id.
+  Population p;
+  p.source_fanout = 1;
+  p.consumers = {
+      NodeSpec{1, Constraints{2, 1}},
+      NodeSpec{2, Constraints{0, 4}},
+      NodeSpec{3, Constraints{1, 6}},
+      NodeSpec{4, Constraints{0, 3}},
+  };
+  Overlay overlay(p);
+  overlay.attach(1, kSourceId);
+  overlay.attach(2, 1);
+  overlay.attach(3, 1);
+  overlay.attach(4, 3);
+  feed::DisseminationConfig config;
+  config.source.publish_period = 1.0;
+  config.capacity.relay_budget = 1;
+  config.capacity.shedding = true;
+  const auto report = feed::run_dissemination(overlay, config, 100.0);
+  ASSERT_EQ(report.nodes.size(), 4u);
+  EXPECT_GT(report.nodes[3].items, 0u);  // the grandchild is fed
+  EXPECT_EQ(report.nodes[1].items, 0u);  // B is shed every time
+  EXPECT_EQ(report.shed_pushes, report.nodes[0].items);
 }
 
 TEST(DisseminationTest, BoundedQueueRefusesForwards) {

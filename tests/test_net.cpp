@@ -92,61 +92,6 @@ TEST(NetworkTest, TrafficCountersTrackMessagesAndBytes) {
   EXPECT_EQ(network.total_messages(), 2u);
 }
 
-TEST(NetworkCapacityTest, SendBudgetShedsOverWindowAndRollsWithTime) {
-  Simulator sim;
-  Network<int> network(sim, std::make_unique<ConstantLatency>(0.1), 1);
-  int received = 0;
-  network.register_node(2, [&](Address, int) { ++received; });
-  network.set_capacity({/*send_budget=*/2, /*queue_limit=*/0});
-  network.send(1, 2, 1);
-  network.send(1, 2, 2);
-  network.send(1, 2, 3);  // third send in window [0,1) — shed
-  EXPECT_EQ(network.shed(), 1u);
-  sim.run();
-  EXPECT_EQ(received, 2);
-  // The window keys on integer sim time: after t=1 the budget is fresh.
-  sim.schedule_at(1.5, [&] { network.send(1, 2, 4); });
-  sim.run();
-  EXPECT_EQ(network.shed(), 1u);
-  EXPECT_EQ(received, 3);
-}
-
-TEST(NetworkCapacityTest, QueueLimitRefusesAtTheDoorAndFreesOnDelivery) {
-  Simulator sim;
-  Network<int> network(sim, std::make_unique<ConstantLatency>(1.0), 1);
-  int received = 0;
-  network.register_node(2, [&](Address, int) { ++received; });
-  network.set_capacity({/*send_budget=*/0, /*queue_limit=*/1});
-  network.send(1, 2, 1);
-  EXPECT_EQ(network.queue_depth(2), 1u);
-  network.send(3, 2, 2);  // receiver full — refused before any latency
-  EXPECT_EQ(network.queue_dropped(), 1u);
-  sim.run();  // the admitted message delivers, freeing the slot
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(network.queue_depth(2), 0u);
-  network.send(3, 2, 3);
-  EXPECT_EQ(network.queue_dropped(), 1u);
-  sim.run();
-  EXPECT_EQ(received, 2);
-}
-
-TEST(NetworkCapacityTest, ClearingCapacityRestoresUnlimitedSends) {
-  Simulator sim;
-  Network<int> network(sim, std::make_unique<ConstantLatency>(0.1), 1);
-  int received = 0;
-  network.register_node(2, [&](Address, int) { ++received; });
-  network.set_capacity({/*send_budget=*/1, /*queue_limit=*/1});
-  network.send(1, 2, 1);
-  network.send(1, 2, 2);
-  EXPECT_EQ(network.shed(), 1u);
-  network.set_capacity({});  // empty clears window + in-flight state
-  for (int i = 0; i < 10; ++i) network.send(1, 2, i);
-  EXPECT_EQ(network.shed(), 1u);
-  EXPECT_EQ(network.queue_depth(2), 0u);
-  sim.run();
-  EXPECT_EQ(received, 11);
-}
-
 TEST(NetworkTest, MessagesToSelfStillGoThroughTheNetwork) {
   Simulator sim;
   Network<int> network(sim, std::make_unique<ConstantLatency>(0.2), 1);

@@ -2,9 +2,12 @@
 // scaling, flooring, the unlimited sentinel), the empty() normalization
 // contract (a squeezes-only config is still empty — squeezes are inert
 // without a budget), byte-identity of live and lossy dissemination when
-// the capacity config is empty, and the defended/undefended split — a
-// binding budget sheds with the policy on, drops queues with it off,
-// and only the shedding ladder ever escalates starvation.
+// the capacity config is empty, and that every capacity field binds on
+// the live and lossy paths: the budget, a squeeze under it, the queue
+// bound and the shedding order each move their own counter against the
+// run without them, as do the live-only degradation rules (fanout
+// factor, recovery ticks, starvation limit); only the shedding ladder
+// ever escalates starvation. tests/test_feed.cpp covers the ideal path.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -121,6 +124,9 @@ TEST(LiveCapacityTest, BindingBudgetShedsWithThePolicyOn) {
   const Population population = workload(60, 19);
   LiveConfig config = live_config(19);
   config.publish_every = 1;
+  const LiveReport free = run_live_dissemination(population, config);
+  EXPECT_EQ(free.shed_items, 0u);
+  EXPECT_EQ(free.degraded_relay_ticks, 0u);
   config.capacity.relay_budget = 1;
   config.capacity.shedding = true;
   const LiveReport report = run_live_dissemination(population, config);
@@ -128,15 +134,46 @@ TEST(LiveCapacityTest, BindingBudgetShedsWithThePolicyOn) {
   EXPECT_GT(report.degraded_relay_ticks, 0u);
   // Shed items are deferred, not destroyed — no bounded queue here.
   EXPECT_EQ(report.queue_drops, 0u);
+
+  // The live-only rules bind on top of the budget. Full fanout while
+  // degraded and a slower or faster recovery each change how long
+  // relays stay degraded; a shorter starvation limit re-parents more.
+  LiveConfig full_fanout = config;
+  full_fanout.fanout_factor = 1.0;
+  EXPECT_NE(run_live_dissemination(population, full_fanout)
+                .degraded_relay_ticks,
+            report.degraded_relay_ticks);
+  LiveConfig slow = config;
+  slow.recovery_ticks = 10;
+  EXPECT_GT(run_live_dissemination(population, slow).degraded_relay_ticks,
+            report.degraded_relay_ticks);
+  LiveConfig fast = config;
+  fast.recovery_ticks = 1;
+  EXPECT_LT(run_live_dissemination(population, fast).degraded_relay_ticks,
+            report.degraded_relay_ticks);
+  LiveConfig eager = config;
+  eager.starve_limit = 2;
+  EXPECT_GT(run_live_dissemination(population, eager).starvation_detaches,
+            report.starvation_detaches);
+
+  // A squeeze binds under a budget the run never exhausts without it.
+  LiveConfig roomy = config;
+  roomy.capacity.relay_budget = 64;
+  EXPECT_EQ(run_live_dissemination(population, roomy).shed_items, 0u);
+  roomy.capacity.squeezes.push_back({60.0, 100.0, 1.0 / 64});
+  EXPECT_GT(run_live_dissemination(population, roomy).shed_items, 0u);
 }
 
 TEST(LiveCapacityTest, BoundedQueueDropsOldestWhenFull) {
   const Population population = workload(60, 19);
   LiveConfig config = live_config(19);
   config.publish_every = 1;
-  config.capacity.relay_budget = 1;
   config.capacity.queue_limit = 2;
   config.capacity.shedding = true;
+  // Without a budget a live child never falls behind its parent, so
+  // the bound has nothing to drop; under one it drops.
+  EXPECT_EQ(run_live_dissemination(population, config).queue_drops, 0u);
+  config.capacity.relay_budget = 1;
   const LiveReport report = run_live_dissemination(population, config);
   EXPECT_GT(report.queue_drops, 0u);
   // max_backlog gauges the depth *before* the trim, so it may exceed
@@ -155,6 +192,17 @@ TEST(LiveCapacityTest, UndefendedBudgetNeverEscalatesStarvation) {
   // shedding-ladder policy — the undefended run must not show them.
   EXPECT_EQ(report.starvation_detaches, 0u);
   EXPECT_EQ(report.degraded_relay_ticks, 0u);
+  // Shedding moves the service order, and with it who receives what.
+  config.capacity.shedding = true;
+  const LiveReport defended = run_live_dissemination(population, config);
+  EXPECT_GT(defended.starvation_detaches, 0u);
+  std::vector<std::uint64_t> got;
+  std::vector<std::uint64_t> got_defended;
+  for (std::size_t i = 0; i < report.nodes.size(); ++i) {
+    got.push_back(report.nodes[i].deliveries);
+    got_defended.push_back(defended.nodes[i].deliveries);
+  }
+  EXPECT_NE(got, got_defended);
 }
 
 // --- lossy dissemination ----------------------------------------------
@@ -207,9 +255,18 @@ TEST(LossyCapacityTest, ShedPushesStayRecoverable) {
   queue.base.capacity = CapacityConfig{};
   queue.base.capacity.queue_limit = 1;
   queue.base.source.publish_period = 0.25;
-  for (const LossyConfig& config : {shed, queue}) {
-    const LossyReport report =
-        run_lossy_dissemination(engine.overlay(), config, 60.0);
+  // A budget no relay exhausts (fanout is at most 4 here), squeezed to
+  // one item per window.
+  LossyConfig roomy = shed;
+  roomy.base.capacity.relay_budget = 64;
+  LossyConfig squeezed = roomy;
+  squeezed.base.capacity.squeezes.push_back({10.0, 40.0, 1.0 / 64});
+  LossyConfig undefended = shed;
+  undefended.base.capacity.shedding = false;
+  std::vector<LossyReport> reports;
+  for (const LossyConfig& config : {shed, queue, squeezed, undefended}) {
+    const LossyReport& report = reports.emplace_back(
+        run_lossy_dissemination(engine.overlay(), config, 60.0));
     // Each config binds one limit, and only that limit refuses pushes.
     EXPECT_EQ(report.shed_pushes > 0, config.base.capacity.relay_budget != 0);
     EXPECT_EQ(report.queue_drops > 0, config.base.capacity.queue_limit != 0);
@@ -219,6 +276,11 @@ TEST(LossyCapacityTest, ShedPushesStayRecoverable) {
     EXPECT_EQ(report.applications,
               report.push_deliveries + report.recovered_deliveries);
   }
+  EXPECT_EQ(run_lossy_dissemination(engine.overlay(), roomy, 60.0).shed_pushes,
+            0u);
+  // Undefended, the same budget sheds children with tight deadlines as
+  // readily as slack ones, and their repaired items arrive late.
+  EXPECT_LT(reports[0].late_deliveries, reports[3].late_deliveries);
 }
 
 }  // namespace

@@ -71,18 +71,6 @@ TEST(EventBusTest, UnsubscribeStopsDelivery) {
   EXPECT_FALSE(bus.has_subscribers());
 }
 
-TEST(EventBusTest, RetentionRingKeepsNewestAndCountsOverwrites) {
-  telemetry::EventBus<int> bus;
-  bus.set_retention(3);
-  for (int i = 1; i <= 5; ++i) bus.publish(i);
-  EXPECT_EQ(bus.recent(), (std::vector<int>{3, 4, 5}));
-  EXPECT_EQ(bus.overwritten(), 2u);
-  bus.set_retention(2);  // shrink keeps the newest
-  EXPECT_EQ(bus.recent(), (std::vector<int>{4, 5}));
-  bus.set_retention(0);  // disable clears
-  EXPECT_EQ(bus.retained_count(), 0u);
-}
-
 // ----------------------------------------------------------- metrics
 
 TEST(LogHistogramTest, BucketBoundariesAreHalfOpen) {

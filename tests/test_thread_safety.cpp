@@ -100,9 +100,8 @@ TEST(ThreadSafetyTest, HistogramAddsAreNotLost) {
   EXPECT_DOUBLE_EQ(hist.max(), 2.5);
 }
 
-TEST(ThreadSafetyTest, EventBusRetentionRingUnderContention) {
+TEST(ThreadSafetyTest, EventBusCountsEveryPublishUnderContention) {
   telemetry::EventBus<int> bus;
-  bus.set_retention(64);
   std::atomic<std::uint64_t> delivered{0};
   const auto id =
       bus.subscribe([&](const int&) { delivered.fetch_add(1); });
@@ -111,8 +110,6 @@ TEST(ThreadSafetyTest, EventBusRetentionRingUnderContention) {
   });
   EXPECT_EQ(bus.published(), kTotal);
   EXPECT_EQ(delivered.load(), kTotal);
-  EXPECT_EQ(bus.recent().size(), 64u);
-  EXPECT_EQ(bus.overwritten(), kTotal - 64u);
   bus.unsubscribe(id);
 }
 
