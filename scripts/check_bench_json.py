@@ -8,8 +8,6 @@ Autodetects the kind of each file passed on the command line:
     block with schema "lagover.perf.v1"),
   * "lagover.perf.trajectory.v1" — a merged perf trajectory, as
     written by scripts/perf_compare.py --collect,
-  * "lagover.scenario.v1" — a declarative scenario document, as run by
-    bench_scenario (strict keys, mirroring src/workload/scenario.cpp),
   * "lagover.postmortem.v1" — a flight-recorder dump, as written by
     --postmortem-out on an invariant violation (optionally retaining a
     "health" ring of "lagover.health.v1" sample lines),
@@ -257,218 +255,6 @@ def check_bench(path, doc):
     return "bench json" + "".join(f" + {key}" for key in extras)
 
 
-# --- lagover.scenario.v1 -------------------------------------------------
-# Mirrors the strict C++ parser in src/workload/scenario.cpp: unknown keys
-# are rejected per section, fractions live in [0, 1], windows are ordered.
-
-SCENARIO_KEYS = ("schema", "name", "engine", "algorithm", "oracle", "seed",
-                 "trials", "horizon", "workload", "churn", "faults",
-                 "domains", "adversary", "defense", "overload", "feed")
-SCENARIO_WORKLOAD_KEYS = ("kind", "peers", "max_latency", "source_fanout",
-                          "tf1_fanout", "rand_fanout_max")
-SCENARIO_CHURN_KEYS = ("leave_probability", "rejoin_probability")
-SCENARIO_FAULT_KEYS = ("start", "end", "drop_probability",
-                       "delay_probability", "delay_amount",
-                       "duplicate_probability", "oracle_outage",
-                       "oracle_staleness", "crash_probability",
-                       "crash_downtime", "partition_fraction")
-SCENARIO_DOMAIN_KEYS = ("name", "fraction", "members", "windows")
-SCENARIO_DOMAIN_WINDOW_KEYS = ("start", "end", "fault")
-SCENARIO_ADVERSARY_KEYS = ("delay_liar_fraction", "fanout_liar_fraction",
-                           "free_rider_fraction", "flapper_fraction",
-                           "delay_understatement", "flap_period",
-                           "flap_duty", "salt")
-SCENARIO_ADVERSARY_FRACTIONS = ("delay_liar_fraction", "fanout_liar_fraction",
-                                "free_rider_fraction", "flapper_fraction")
-SCENARIO_DEFENSE_KEYS = ("enabled", "probation_threshold",
-                         "quarantine_threshold", "blacklist_threshold",
-                         "oracle_plausibility", "delay_verification",
-                         "receipt_audit")
-SCENARIO_FEED_KEYS = ("duration", "push_loss", "recovery", "recovery_period",
-                      "publish_period")
-SCENARIO_OVERLOAD_KEYS = ("admission", "capacity", "join_storm")
-SCENARIO_ADMISSION_KEYS = ("rate_limit", "window", "retry_after",
-                           "breaker_trip_windows", "breaker_cooldown",
-                           "breaker_close_windows", "serve_stale")
-SCENARIO_CAPACITY_KEYS = ("relay_budget", "queue_limit", "shedding",
-                          "squeezes")
-SCENARIO_SQUEEZE_KEYS = ("start", "end", "factor")
-SCENARIO_JOIN_STORM_KEYS = ("at", "fraction")
-SCENARIO_ENGINES = ("async", "rounds")
-SCENARIO_ALGORITHMS = ("greedy", "hybrid", "fanout_greedy")
-SCENARIO_ORACLES = ("random", "random_capacity", "random_delay_capacity",
-                    "random_delay")
-SCENARIO_WORKLOADS = ("tf1", "rand", "bi_corr", "bi_uncorr")
-
-
-def scenario_keys(path, section, obj, allowed):
-    if not isinstance(obj, dict):
-        fail(path, f"scenario {section} is not an object")
-    for key in obj:
-        if key not in allowed:
-            fail(path, f"scenario {section} has unknown key {key!r}")
-
-
-def scenario_fraction(path, section, obj, key):
-    if key in obj:
-        value = obj[key]
-        if not isinstance(value, NUMERIC) or not 0.0 <= value <= 1.0:
-            fail(path, f"scenario {section}.{key} is not in [0, 1]")
-
-
-def scenario_window(path, section, obj):
-    if "start" not in obj or "end" not in obj:
-        fail(path, f"scenario {section} window missing start/end")
-    if not (isinstance(obj["start"], NUMERIC) and
-            isinstance(obj["end"], NUMERIC) and
-            0 <= obj["start"] <= obj["end"]):
-        fail(path, f"scenario {section} window needs 0 <= start <= end")
-
-
-def check_scenario(path, doc):
-    scenario_keys(path, "document", doc, SCENARIO_KEYS)
-    if not isinstance(doc.get("name"), str) or not doc["name"]:
-        fail(path, "scenario needs a non-empty 'name'")
-    for key, allowed in (("engine", SCENARIO_ENGINES),
-                         ("algorithm", SCENARIO_ALGORITHMS),
-                         ("oracle", SCENARIO_ORACLES)):
-        if key in doc and doc[key] not in allowed:
-            fail(path, f"scenario {key} {doc[key]!r} not in {allowed}")
-    if "trials" in doc and (not isinstance(doc["trials"], int)
-                            or doc["trials"] < 1):
-        fail(path, "scenario trials must be an integer >= 1")
-    if "horizon" in doc and (not isinstance(doc["horizon"], NUMERIC)
-                             or doc["horizon"] <= 0):
-        fail(path, "scenario horizon must be > 0")
-    if "workload" in doc:
-        workload = doc["workload"]
-        scenario_keys(path, "workload", workload, SCENARIO_WORKLOAD_KEYS)
-        if "kind" in workload and workload["kind"] not in SCENARIO_WORKLOADS:
-            fail(path, f"scenario workload.kind {workload['kind']!r} "
-                       f"not in {SCENARIO_WORKLOADS}")
-        if "peers" in workload and (not isinstance(workload["peers"], int)
-                                    or workload["peers"] < 2):
-            fail(path, "scenario workload.peers must be >= 2")
-    if "churn" in doc:
-        scenario_keys(path, "churn", doc["churn"], SCENARIO_CHURN_KEYS)
-        for key in SCENARIO_CHURN_KEYS:
-            scenario_fraction(path, "churn", doc["churn"], key)
-    for i, window in enumerate(doc.get("faults", []), 1):
-        scenario_keys(path, f"faults[{i}]", window, SCENARIO_FAULT_KEYS)
-        scenario_window(path, f"faults[{i}]", window)
-    for i, domain in enumerate(doc.get("domains", []), 1):
-        scenario_keys(path, f"domains[{i}]", domain, SCENARIO_DOMAIN_KEYS)
-        if not isinstance(domain.get("name"), str) or not domain["name"]:
-            fail(path, f"scenario domains[{i}] needs a non-empty 'name'")
-        has_fraction = domain.get("fraction", 0) > 0
-        has_members = bool(domain.get("members"))
-        if has_fraction == has_members:
-            fail(path, f"scenario domains[{i}] takes 'fraction' or "
-                       "'members', exactly one")
-        scenario_fraction(path, f"domains[{i}]", domain, "fraction")
-        windows = domain.get("windows")
-        if not isinstance(windows, list) or not windows:
-            fail(path, f"scenario domains[{i}] needs a non-empty "
-                       "'windows' array")
-        for j, window in enumerate(windows, 1):
-            scenario_keys(path, f"domains[{i}].windows[{j}]", window,
-                          SCENARIO_DOMAIN_WINDOW_KEYS)
-            scenario_window(path, f"domains[{i}].windows[{j}]", window)
-            if window.get("fault", "crash") not in ("crash", "partition"):
-                fail(path, f"scenario domains[{i}].windows[{j}].fault must "
-                           "be 'crash' or 'partition'")
-    if "adversary" in doc:
-        adversary = doc["adversary"]
-        scenario_keys(path, "adversary", adversary, SCENARIO_ADVERSARY_KEYS)
-        for key in SCENARIO_ADVERSARY_FRACTIONS:
-            scenario_fraction(path, "adversary", adversary, key)
-        total = sum(adversary.get(key, 0.0)
-                    for key in SCENARIO_ADVERSARY_FRACTIONS)
-        if total > 1.0 + 1e-9:
-            fail(path, "scenario adversary fractions must sum to <= 1")
-    if "defense" in doc:
-        defense = doc["defense"]
-        scenario_keys(path, "defense", defense, SCENARIO_DEFENSE_KEYS)
-        thresholds = [defense.get(key) for key in
-                      ("probation_threshold", "quarantine_threshold",
-                       "blacklist_threshold")]
-        present = [t for t in thresholds if t is not None]
-        if present != sorted(present):
-            fail(path, "scenario defense thresholds must be ordered "
-                       "probation <= quarantine <= blacklist")
-    if "overload" in doc:
-        overload = doc["overload"]
-        scenario_keys(path, "overload", overload, SCENARIO_OVERLOAD_KEYS)
-        if not overload:
-            fail(path, "scenario overload must declare admission, capacity, "
-                       "or join_storm")
-        if "admission" in overload:
-            admission = overload["admission"]
-            scenario_keys(path, "overload.admission", admission,
-                          SCENARIO_ADMISSION_KEYS)
-            rate = admission.get("rate_limit")
-            if not isinstance(rate, NUMERIC) or rate <= 0:
-                fail(path, "scenario overload.admission.rate_limit must "
-                           "be > 0")
-            for key in ("window", "retry_after", "breaker_cooldown"):
-                if key in admission and (
-                        not isinstance(admission[key], NUMERIC)
-                        or admission[key] <= 0):
-                    fail(path, f"scenario overload.admission.{key} must "
-                               "be > 0")
-            for key in ("breaker_trip_windows", "breaker_close_windows"):
-                if key in admission and (
-                        not isinstance(admission[key], int)
-                        or admission[key] < 1):
-                    fail(path, f"scenario overload.admission.{key} must "
-                               "be an integer >= 1")
-        if "capacity" in overload:
-            capacity = overload["capacity"]
-            scenario_keys(path, "overload.capacity", capacity,
-                          SCENARIO_CAPACITY_KEYS)
-            for key in ("relay_budget", "queue_limit"):
-                if key in capacity and (not isinstance(capacity[key], int)
-                                        or capacity[key] < 0):
-                    fail(path, f"scenario overload.capacity.{key} must "
-                               "be an integer >= 0")
-            for j, squeeze in enumerate(capacity.get("squeezes", []), 1):
-                scenario_keys(path, f"overload.capacity.squeezes[{j}]",
-                              squeeze, SCENARIO_SQUEEZE_KEYS)
-                scenario_window(path, f"overload.capacity.squeezes[{j}]",
-                                squeeze)
-                sf = squeeze.get("factor")
-                if not isinstance(sf, NUMERIC) or not 0 < sf <= 1:
-                    fail(path, f"scenario overload.capacity.squeezes[{j}]"
-                               ".factor must be in (0, 1]")
-        if "join_storm" in overload:
-            storm = overload["join_storm"]
-            scenario_keys(path, "overload.join_storm", storm,
-                          SCENARIO_JOIN_STORM_KEYS)
-            if "churn" in doc:
-                fail(path, "scenario overload.join_storm and churn are "
-                           "mutually exclusive")
-            at = storm.get("at")
-            if not isinstance(at, NUMERIC) or at < 1:
-                fail(path, "scenario overload.join_storm.at must be >= 1")
-            fraction = storm.get("fraction")
-            if not isinstance(fraction, NUMERIC) or not 0 < fraction < 1:
-                fail(path, "scenario overload.join_storm.fraction must be "
-                           "in (0, 1)")
-    if "feed" in doc:
-        feed = doc["feed"]
-        scenario_keys(path, "feed", feed, SCENARIO_FEED_KEYS)
-        scenario_fraction(path, "feed", feed, "push_loss")
-        if feed.get("push_loss", 0.0) >= 1.0:
-            fail(path, "scenario feed.push_loss must be < 1")
-        for key in ("duration", "recovery_period", "publish_period"):
-            if key in feed and (not isinstance(feed[key], NUMERIC)
-                                or feed[key] <= 0):
-                fail(path, f"scenario feed.{key} must be > 0")
-    counts = (len(doc.get("faults", [])), len(doc.get("domains", [])))
-    return (f"scenario '{doc['name']}' ({counts[0]} fault windows, "
-            f"{counts[1]} domains)")
-
-
 SPAN_KINDS = ("publish", "source_poll", "relay", "deliver", "repair",
               "drop", "duplicate")
 RECEIPT_KINDS = ("source_poll", "deliver", "repair")
@@ -621,8 +407,6 @@ def check_file(path):
         return "metrics json"
     if isinstance(doc, dict) and doc.get("schema") == "lagover.postmortem.v1":
         return check_postmortem(path, doc)
-    if isinstance(doc, dict) and doc.get("schema") == "lagover.scenario.v1":
-        return check_scenario(path, doc)
     if isinstance(doc, dict) and \
             doc.get("schema") == "lagover.perf.trajectory.v1":
         return check_perf_trajectory(path, doc)

@@ -57,6 +57,15 @@ LiveReport run_live_dissemination(const Population& population,
   std::vector<char> degraded(slots);
   std::vector<int> clean_ticks(slots);
   std::vector<int> starved_ticks(slots);
+  // Per-tick scratch, sized once and refilled every tick: each node's
+  // item count at the start of the tick, the visit order and (under
+  // shedding) each node's urgency key.
+  std::vector<std::uint64_t> previous(overlay.node_count());
+  std::vector<NodeId> visit;
+  visit.reserve(overlay.node_count() - 1);
+  std::vector<double> urgency(capacity_on && capacity.shedding
+                                  ? overlay.node_count()
+                                  : 0);
 
   const Round total_rounds = config.warmup_rounds + config.measured_rounds;
   for (Round tick = 1; tick <= total_rounds; ++tick) {
@@ -82,15 +91,15 @@ LiveReport run_live_dissemination(const Population& population,
     // node's key is its next pending item's, lowered to the least in
     // its subtree), plain id order (arbitrary tail drops) when
     // undefended.
-    std::vector<std::uint64_t> previous = last_seq;
+    previous = last_seq;
     const auto now = static_cast<double>(tick);
     if (capacity_on)
       std::fill(served_children.begin(), served_children.end(), 0);
-    std::vector<NodeId> visit;
-    visit.reserve(overlay.node_count() - 1);
+    // Refilled in id order every tick: stable_sort breaks ties by id.
+    visit.clear();
     for (NodeId id = 1; id < overlay.node_count(); ++id) visit.push_back(id);
     if (capacity_on && capacity.shedding) {
-      std::vector<double> urgency(overlay.node_count(), RelayPolicy::kIdle);
+      std::fill(urgency.begin(), urgency.end(), RelayPolicy::kIdle);
       for (NodeId id = 1; id < overlay.node_count(); ++id) {
         const std::uint64_t next = previous[id] + 1;
         if (next >= published_at.size()) continue;

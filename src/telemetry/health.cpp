@@ -202,10 +202,6 @@ void OverlayHealthRecorder::note_round(std::uint64_t run,
 
   ++samples_total_;
   ++run_samples_;
-  if (config_.ring_capacity > 0) {
-    if (ring_.size() == config_.ring_capacity) ring_.pop_front();
-    ring_.push_back(sample);
-  }
   // Bounded stream: every stride-th sample goes out; once the emitted
   // budget is hit the stride doubles, so a run of any length writes
   // O(stream_budget) sample lines. Serializing is the expensive part
@@ -279,16 +275,6 @@ std::size_t OverlayHealthRecorder::completed_run_count() const {
 std::vector<HealthRunResult> OverlayHealthRecorder::completed_runs() const {
   MutexLock lock(&mutex_);
   return completed_;
-}
-
-std::vector<Json> OverlayHealthRecorder::recent_samples() const {
-  MutexLock lock(&mutex_);
-  std::vector<Json> lines;
-  lines.reserve(ring_.size());
-  for (const HealthSample& sample : ring_) {
-    lines.push_back(sample_to_json(sample));
-  }
-  return lines;
 }
 
 std::uint64_t OverlayHealthRecorder::stream_lines() const {

@@ -17,7 +17,8 @@
 //     JSONL, one run header + stride-thinned samples + a run_end
 //     summary per construction run (the stride doubles whenever the
 //     emitted-line budget is hit, so file size stays bounded),
-//   * a last-K sample ring mirrored into flight-recorder bundles.
+//   * a sample mirror, through which flight-recorder bundles keep
+//     their own ring of recent samples.
 //
 // Cost model, like every telemetry layer before it: no active recorder
 // means engines skip registration and sampling entirely — default-off
@@ -25,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -111,8 +111,6 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
     int stability_rounds = 1;
     /// Emitted-sample budget per run before the stream stride doubles.
     std::size_t stream_budget = 2048;
-    /// Last-K sample ring mirrored into post-mortem bundles.
-    std::size_t ring_capacity = 64;
   };
 
   OverlayHealthRecorder();
@@ -131,9 +129,9 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
   /// Opens the "lagover.health.v1" JSONL stream; false on I/O failure.
   bool set_stream(const std::string& path) LAGOVER_EXCLUDES(mutex_);
 
-  /// Mirrors every emitted sample line into `fn` (the flight-recorder
-  /// wiring; nullptr disables). Runs under the recorder lock: `fn` must
-  /// not call back into this recorder.
+  /// Mirrors every sample line into `fn`, stride or not (the
+  /// flight-recorder wiring; nullptr disables). Runs under the recorder
+  /// lock: `fn` must not call back into this recorder.
   void set_sample_mirror(std::function<void(const Json&)> fn)
       LAGOVER_EXCLUDES(mutex_);
 
@@ -146,7 +144,7 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
 
   /// Records the end-of-round `sample` (its structural fields and `t`
   /// filled in by the engine): stamps the run, the round and the
-  /// message deltas, feeds the convergence tracker, ring and stream.
+  /// message deltas, feeds the convergence tracker, mirror and stream.
   /// Ignored unless `run` is the currently open run, so an engine whose
   /// run was superseded cannot corrupt the successor's stream.
   void note_round(std::uint64_t run, HealthSample sample)
@@ -165,8 +163,6 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
   /// Completed runs in completion order (benches slice per cell).
   std::vector<HealthRunResult> completed_runs() const
       LAGOVER_EXCLUDES(mutex_);
-  /// The last K emitted sample lines, oldest first.
-  std::vector<Json> recent_samples() const LAGOVER_EXCLUDES(mutex_);
   std::uint64_t stream_lines() const LAGOVER_EXCLUDES(mutex_);
   std::uint64_t samples_total() const LAGOVER_EXCLUDES(mutex_);
 
@@ -176,7 +172,7 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
   Json to_json() LAGOVER_EXCLUDES(mutex_);
 
   /// Serializes one sample as a "kind":"sample" stream line (shared by
-  /// the streamer, the ring, and tests).
+  /// the streamer, the mirror, and tests).
   static Json sample_to_json(const HealthSample& sample);
 
  private:
@@ -208,9 +204,6 @@ class LAGOVER_THREAD_SAFE OverlayHealthRecorder {
   std::uint64_t samples_total_ LAGOVER_GUARDED_BY(mutex_) = 0;
   std::uint64_t stream_lines_ LAGOVER_GUARDED_BY(mutex_) = 0;
   std::unique_ptr<std::ostream> stream_ LAGOVER_GUARDED_BY(mutex_);
-  /// Raw samples, not Json: serialization happens on read so the
-  /// per-round hot path never pays for it.
-  std::deque<HealthSample> ring_ LAGOVER_GUARDED_BY(mutex_);
   std::function<void(const Json&)> sample_mirror_ LAGOVER_GUARDED_BY(mutex_);
   std::vector<HealthRunResult> completed_ LAGOVER_GUARDED_BY(mutex_);
 };

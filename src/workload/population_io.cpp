@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/flags.hpp"
 
 namespace lagover {
 
@@ -25,6 +26,17 @@ Population parse_population(std::istream& in) {
       throw InvalidArgument("population line " + std::to_string(line_number) +
                             ": " + detail);
     };
+    // The bound is checked before any of the `count` consumers is added.
+    auto add_consumers = [&](long count, int fanout, int latency) {
+      if (count > kMaxCountFlag -
+                      static_cast<long>(population.consumers.size()))
+        malformed("more than " + std::to_string(kMaxCountFlag) +
+                  " consumers");
+      for (long k = 0; k < count; ++k)
+        population.consumers.push_back(
+            NodeSpec{static_cast<NodeId>(population.consumers.size() + 1),
+                     Constraints{fanout, latency}});
+    };
 
     if (keyword == "source") {
       if (!(fields >> population.source_fanout))
@@ -36,9 +48,7 @@ Population parse_population(std::istream& in) {
       int latency = 0;
       if (!(fields >> fanout >> latency))
         malformed("expected 'peer <fanout> <latency>'");
-      population.consumers.push_back(
-          NodeSpec{static_cast<NodeId>(population.consumers.size() + 1),
-                   Constraints{fanout, latency}});
+      add_consumers(1, fanout, latency);
     } else if (keyword == "peers") {
       long count = 0;
       int fanout = 0;
@@ -46,10 +56,7 @@ Population parse_population(std::istream& in) {
       if (!(fields >> count >> fanout >> latency))
         malformed("expected 'peers <count> <fanout> <latency>'");
       if (count < 0) malformed("negative peer count");
-      for (long k = 0; k < count; ++k)
-        population.consumers.push_back(
-            NodeSpec{static_cast<NodeId>(population.consumers.size() + 1),
-                     Constraints{fanout, latency}});
+      add_consumers(count, fanout, latency);
     } else {
       malformed("unknown keyword '" + keyword + "'");
     }

@@ -1,8 +1,11 @@
 #include "workload/scenario.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -17,532 +20,434 @@ namespace lagover::workload {
 
 namespace {
 
-void set_error(std::string* error, const std::string& message) {
+bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
-}
-
-/// Rejects members of `json` whose key is not in `allowed` — scenario
-/// typos must fail loudly, not silently fall back to defaults.
-bool check_keys(const Json& json, const char* section,
-                std::initializer_list<const char*> allowed,
-                std::string* error) {
-  for (const auto& [key, value] : json.members()) {
-    (void)value;
-    bool known = false;
-    for (const char* name : allowed)
-      if (key == name) {
-        known = true;
-        break;
-      }
-    if (!known) {
-      set_error(error, std::string("unknown key \"") + key + "\" in " +
-                           section);
-      return false;
-    }
-  }
-  return true;
-}
-
-bool read_number(const Json& json, const char* key, double& out,
-                 const char* section, std::string* error) {
-  const Json* value = json.find(key);
-  if (value == nullptr) return true;  // optional, keep default
-  if (!value->is_number()) {
-    set_error(error, std::string(section) + "." + key + " must be a number");
-    return false;
-  }
-  out = value->as_number();
-  return true;
+  return false;
 }
 
 /// Upper bound of every count-like key (peers, latencies, fanouts,
-/// trials, windows, ticks): far above any population the benches
-/// sweep, and small enough that no derived int arithmetic overflows.
-constexpr std::int64_t kMaxCount = std::int64_t{1} << 20;
-constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+/// trials, windows, ticks) and of every time value (the horizon, window
+/// bounds, durations, downtime, staleness, delay amount, the join
+/// storm's instant, the ladder thresholds): far above any run the
+/// benches sweep, small enough that no derived int arithmetic overflows
+/// and that every cast of a time to a round count is defined.
+constexpr double kMaxCount = 1 << 20;
+/// Floor of every period, wait and rate limit, so the clock advances.
+constexpr double kMinPeriod = 1.0 / (1 << 20);
+/// Ceiling of seeds and salts: every JSON integer that fits an int64.
+constexpr double kMaxInt64 =
+    static_cast<double>(std::numeric_limits<std::int64_t>::max());
+/// Closed stand-ins for the open bounds "> 0" and "< 1".
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+constexpr double kBelowOne = 1.0 - std::numeric_limits<double>::epsilon() / 2;
 
-/// Reads the optional integer `key` into `out`: only a JSON integer
-/// within [min, max] passes, checked before the narrowing cast.
+enum class Kind { kNumber, kInteger, kBool, kString, kEnum, kSection };
+
+struct Key;
+/// One section's keys, the only list of them: the reader takes each key
+/// from it and rejects any key it does not name.
+using Table = std::vector<Key>;
+
+/// One key of a section: its name, JSON kind, closed range (numbers and
+/// integers), whether it must appear, and how it reaches its field.
+struct Key {
+  const char* name;
+  Kind kind;
+  double min = 0.0;
+  double max = 0.0;
+  bool required = false;
+  bool array = false;  ///< the value is a JSON array of this kind
+  std::vector<std::string> names = {};  ///< kEnum: the accepted values
+  /// Stores a checked scalar; an enum stores its index in `names`.
+  std::function<void(const Json&, std::size_t)> write = {};
+  /// kSection: the section's keys, bound to the struct it fills; called
+  /// once per section (per element of an array), only when present.
+  std::function<Table()> keys = {};
+};
+
+Key number(const char* name, double& field, double min, double max,
+           bool required = false) {
+  return {.name = name, .kind = Kind::kNumber, .min = min, .max = max,
+          .required = required,
+          .write = [&field](const Json& value, std::size_t) {
+            field = value.as_number();
+          }};
+}
+
+/// The range is checked before the narrowing cast.
 template <typename Int>
-bool read_int(const Json& json, const char* key, std::int64_t min,
-              std::int64_t max, Int& out, const char* section,
-              std::string* error) {
-  const Json* value = json.find(key);
-  if (value == nullptr) return true;  // optional, keep default
-  if (!value->is_integer() || value->as_int() < min ||
-      value->as_int() > max) {
-    set_error(error, std::string(section) + "." + key +
-                         " must be an integer in [" + std::to_string(min) +
-                         ", " + std::to_string(max) + "]");
-    return false;
-  }
-  out = static_cast<Int>(value->as_int());
-  return true;
+Key integer(const char* name, Int& field, double min, double max) {
+  return {.name = name, .kind = Kind::kInteger, .min = min, .max = max,
+          .write = [&field](const Json& value, std::size_t) {
+            field = static_cast<Int>(value.as_int());
+          }};
 }
 
-bool read_fraction(const Json& json, const char* key, double& out,
-                   const char* section, std::string* error) {
-  if (!read_number(json, key, out, section, error)) return false;
-  if (out < 0.0 || out > 1.0) {
-    set_error(error, std::string(section) + "." + key + " must be in [0, 1]");
-    return false;
-  }
-  return true;
+Key flag(const char* name, bool& field) {
+  return {.name = name, .kind = Kind::kBool,
+          .write = [&field](const Json& value, std::size_t) {
+            field = value.as_bool();
+          }};
 }
 
-bool read_bool(const Json& json, const char* key, bool& out,
-               const char* section, std::string* error) {
-  const Json* value = json.find(key);
-  if (value == nullptr) return true;
-  if (!value->is_bool()) {
-    set_error(error, std::string(section) + "." + key + " must be a boolean");
-    return false;
-  }
-  out = value->as_bool();
-  return true;
+/// A required, non-empty string.
+Key text(const char* name, std::string& field) {
+  return {.name = name, .kind = Kind::kString, .required = true,
+          .write = [&field](const Json& value, std::size_t) {
+            field = value.as_string();
+          }};
 }
 
-bool parse_algorithm(const std::string& name, AlgorithmKind& out) {
-  if (name == "greedy") out = AlgorithmKind::kGreedy;
-  else if (name == "hybrid") out = AlgorithmKind::kHybrid;
-  else if (name == "fanout_greedy") out = AlgorithmKind::kFanoutGreedy;
-  else return false;
-  return true;
+/// `names` in enumerator order: a value's index is its enumerator.
+template <typename Enum>
+Key choice(const char* name, Enum& field, std::vector<std::string> names) {
+  return {.name = name, .kind = Kind::kEnum, .names = std::move(names),
+          .write = [&field](const Json&, std::size_t index) {
+            field = static_cast<Enum>(index);
+          }};
 }
 
-bool parse_oracle(const std::string& name, OracleKind& out) {
-  if (name == "random") out = OracleKind::kRandom;
-  else if (name == "random_capacity") out = OracleKind::kRandomCapacity;
-  else if (name == "random_delay_capacity")
-    out = OracleKind::kRandomDelayCapacity;
-  else if (name == "random_delay") out = OracleKind::kRandomDelay;
-  else return false;
-  return true;
+Key section(const char* name, std::function<Table()> keys,
+            bool array = false) {
+  return {.name = name, .kind = Kind::kSection, .array = array,
+          .keys = std::move(keys)};
 }
 
-bool parse_workload_kind(const std::string& name, WorkloadKind& out) {
-  if (name == "tf1") out = WorkloadKind::kTf1;
-  else if (name == "rand") out = WorkloadKind::kRand;
-  else if (name == "bi_corr") out = WorkloadKind::kBiCorr;
-  else if (name == "bi_uncorr") out = WorkloadKind::kBiUnCorr;
-  else return false;
-  return true;
+/// A window section: its own keys plus the required bounds.
+Table window(double& start, double& end, Table keys) {
+  keys.push_back(number("start", start, 0.0, kMaxCount, /*required=*/true));
+  keys.push_back(number("end", end, 0.0, kMaxCount, /*required=*/true));
+  return keys;
 }
 
-bool parse_workload_section(const Json& json, Scenario& out,
-                            std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "\"workload\" must be an object");
-    return false;
-  }
-  if (!check_keys(json, "workload",
-                  {"kind", "peers", "max_latency", "source_fanout",
-                   "tf1_fanout", "rand_fanout_max"},
-                  error))
-    return false;
-  if (const Json* kind = json.find("kind")) {
-    if (!parse_workload_kind(kind->as_string(), out.workload)) {
-      set_error(error, "workload.kind must be one of tf1 | rand | bi_corr |"
-                       " bi_uncorr");
-      return false;
-    }
-  }
+Table workload_keys(Scenario& out) {
   WorkloadParams& params = out.workload_params;
-  const char* section = "workload";
-  // source_fanout 0 = automatic.
-  return read_int(json, "peers", 2, kMaxCount, params.peers, section,
-                  error) &&
-         read_int(json, "max_latency", 1, kMaxCount, params.max_latency,
-                  section, error) &&
-         read_int(json, "source_fanout", 0, kMaxCount, params.source_fanout,
-                  section, error) &&
-         read_int(json, "tf1_fanout", 1, kMaxCount, params.tf1_fanout,
-                  section, error) &&
-         read_int(json, "rand_fanout_max", 0, kMaxCount,
-                  params.rand_fanout_max, section, error);
+  return {choice("kind", out.workload, {"tf1", "rand", "bi_corr", "bi_uncorr"}),
+          integer("peers", params.peers, 2, kMaxCount),
+          integer("max_latency", params.max_latency, 1, kMaxCount),
+          // 0 = automatic.
+          integer("source_fanout", params.source_fanout, 0, kMaxCount),
+          integer("tf1_fanout", params.tf1_fanout, 1, kMaxCount),
+          integer("rand_fanout_max", params.rand_fanout_max, 0, kMaxCount)};
 }
 
-bool parse_churn_section(const Json& json, Scenario& out,
-                         std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "\"churn\" must be an object");
-    return false;
-  }
-  if (!check_keys(json, "churn", {"leave_probability", "rejoin_probability"},
-                  error))
-    return false;
-  out.has_churn = true;
-  return read_fraction(json, "leave_probability", out.churn_leave, "churn",
-                       error) &&
-         read_fraction(json, "rejoin_probability", out.churn_join, "churn",
-                       error);
+Table fault_keys(fault::FaultWindow& entry) {
+  fault::FaultSpec& spec = entry.spec;
+  return window(
+      entry.start, entry.end,
+      {number("drop_probability", spec.drop_probability, 0.0, 1.0),
+       number("delay_probability", spec.delay_probability, 0.0, 1.0),
+       number("delay_amount", spec.delay_amount, 0.0, kMaxCount),
+       number("duplicate_probability", spec.duplicate_probability, 0.0, 1.0),
+       flag("oracle_outage", spec.oracle_outage),
+       number("oracle_staleness", spec.oracle_staleness, 0.0, kMaxCount),
+       number("crash_probability", spec.crash_probability, 0.0, 1.0),
+       number("crash_downtime", spec.crash_downtime, 0.0, kMaxCount),
+       number("partition_fraction", spec.partition_fraction, 0.0,
+              kBelowOne)});
 }
 
-bool parse_fault_window(const Json& json, fault::FaultWindow& window,
-                        std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "each faults[] entry must be an object");
-    return false;
-  }
-  if (!check_keys(json, "faults[]",
-                  {"start", "end", "drop_probability", "delay_probability",
-                   "delay_amount", "duplicate_probability", "oracle_outage",
-                   "oracle_staleness", "crash_probability", "crash_downtime",
-                   "partition_fraction"},
-                  error))
-    return false;
-  if (json.find("start") == nullptr || json.find("end") == nullptr) {
-    set_error(error, "faults[] windows need \"start\" and \"end\"");
-    return false;
-  }
-  if (!read_number(json, "start", window.start, "faults[]", error) ||
-      !read_number(json, "end", window.end, "faults[]", error))
-    return false;
-  if (window.start < 0.0 || window.end < window.start) {
-    set_error(error, "faults[] windows need 0 <= start <= end");
-    return false;
-  }
-  fault::FaultSpec& spec = window.spec;
-  return read_fraction(json, "drop_probability", spec.drop_probability,
-                       "faults[]", error) &&
-         read_fraction(json, "delay_probability", spec.delay_probability,
-                       "faults[]", error) &&
-         read_number(json, "delay_amount", spec.delay_amount, "faults[]",
-                     error) &&
-         read_fraction(json, "duplicate_probability",
-                       spec.duplicate_probability, "faults[]", error) &&
-         read_bool(json, "oracle_outage", spec.oracle_outage, "faults[]",
-                   error) &&
-         read_number(json, "oracle_staleness", spec.oracle_staleness,
-                     "faults[]", error) &&
-         read_fraction(json, "crash_probability", spec.crash_probability,
-                       "faults[]", error) &&
-         read_number(json, "crash_downtime", spec.crash_downtime, "faults[]",
-                     error) &&
-         read_fraction(json, "partition_fraction", spec.partition_fraction,
-                       "faults[]", error);
+Table domain_keys(ScenarioDomain& domain) {
+  return {text("name", domain.name),
+          number("fraction", domain.fraction, 0.0, 1.0),
+          {.name = "members", .kind = Kind::kInteger, .min = 1,
+           .max = kMaxCount, .array = true,
+           .write =
+               [&domain](const Json& value, std::size_t) {
+                 domain.members.push_back(
+                     static_cast<NodeId>(value.as_int()));
+               }},
+          section(
+              "windows",
+              [&domain] {
+                fault::DomainWindow& entry = domain.windows.emplace_back();
+                return window(entry.start, entry.end,
+                              {choice("fault", entry.fault,
+                                      {"crash", "partition"})});
+              },
+              /*array=*/true)};
 }
 
-/// `peers` bounds the explicit member ids.
-bool parse_domain(const Json& json, std::size_t peers, ScenarioDomain& domain,
-                  std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "each domains[] entry must be an object");
-    return false;
-  }
-  if (!check_keys(json, "domains[]", {"name", "fraction", "members", "windows"},
-                  error))
-    return false;
-  const Json* name = json.find("name");
-  if (name == nullptr || !name->is_string() || name->as_string().empty()) {
-    set_error(error, "domains[] entries need a non-empty \"name\"");
-    return false;
-  }
-  domain.name = name->as_string();
-  const char* section = "domains[]";
-  if (!read_fraction(json, "fraction", domain.fraction, section, error))
-    return false;
-  if (const Json* members = json.find("members")) {
-    if (!members->is_array()) {
-      set_error(error, "domains[].members must be an array of node ids");
-      return false;
-    }
-    for (const Json& member : members->elements()) {
-      if (!member.is_integer() || member.as_int() < 1 ||
-          member.as_int() > static_cast<std::int64_t>(peers)) {
-        set_error(error, "domains[].members must be consumer ids in [1, " +
-                             std::to_string(peers) + "]");
-        return false;
+Table adversary_keys(fault::ByzantineSpec& spec) {
+  return {number("delay_liar_fraction", spec.delay_liar_fraction, 0.0, 1.0),
+          number("fanout_liar_fraction", spec.fanout_liar_fraction, 0.0, 1.0),
+          number("free_rider_fraction", spec.free_rider_fraction, 0.0, 1.0),
+          number("flapper_fraction", spec.flapper_fraction, 0.0, 1.0),
+          integer("delay_understatement", spec.delay_understatement, 1,
+                  kMaxCount),
+          number("flap_period", spec.flap_period, kMinPeriod, kMaxCount),
+          number("flap_duty", spec.flap_duty, 0.0, 1.0),
+          integer("salt", spec.salt, 0, kMaxInt64)};
+}
+
+Table defense_keys(health::DefenseConfig& defense) {
+  return {flag("enabled", defense.enabled),
+          number("probation_threshold", defense.probation_threshold, 0.0,
+                 kMaxCount),
+          number("quarantine_threshold", defense.quarantine_threshold, 0.0,
+                 kMaxCount),
+          number("blacklist_threshold", defense.blacklist_threshold, 0.0,
+                 kMaxCount),
+          flag("oracle_plausibility", defense.oracle_plausibility),
+          flag("delay_verification", defense.delay_verification),
+          flag("receipt_audit", defense.receipt_audit)};
+}
+
+Table feed_keys(ScenarioFeed& feed) {
+  return {number("duration", feed.duration, kMinPeriod, kMaxCount),
+          number("push_loss", feed.push_loss, 0.0, kBelowOne),
+          flag("recovery", feed.recovery),
+          number("recovery_period", feed.recovery_period, kMinPeriod,
+                 kMaxCount),
+          number("publish_period", feed.publish_period, kMinPeriod,
+                 kMaxCount)};
+}
+
+Table admission_keys(AdmissionConfig& admission) {
+  return {number("rate_limit", admission.rate_limit, kMinPeriod, kMaxCount,
+                 /*required=*/true),
+          number("window", admission.window, kMinPeriod, kMaxCount),
+          number("retry_after", admission.retry_after, kMinPeriod, kMaxCount),
+          integer("breaker_trip_windows", admission.breaker_trip_windows, 1,
+                  kMaxCount),
+          number("breaker_cooldown", admission.breaker_cooldown, kMinPeriod,
+                 kMaxCount),
+          integer("breaker_close_windows", admission.breaker_close_windows,
+                  1, kMaxCount),
+          flag("serve_stale", admission.serve_stale)};
+}
+
+Table capacity_keys(feed::CapacityConfig& capacity) {
+  return {integer("relay_budget", capacity.relay_budget, 0, kMaxCount),
+          integer("queue_limit", capacity.queue_limit, 0, kMaxCount),
+          flag("shedding", capacity.shedding),
+          section(
+              "squeezes",
+              [&capacity] {
+                feed::CapacitySqueeze& entry =
+                    capacity.squeezes.emplace_back();
+                return window(entry.start, entry.end,
+                              {number("factor", entry.factor, kAboveZero,
+                                      1.0)});
+              },
+              /*array=*/true)};
+}
+
+/// What a document declares that `Scenario` does not keep: its fault
+/// windows, which go into the plan only once their bounds are ordered,
+/// and whether it has an overload and a capacity section.
+struct Declared {
+  std::vector<fault::FaultWindow> faults;
+  bool overload = false;
+  bool capacity = false;
+};
+
+Table overload_keys(ScenarioOverload& overload, Declared& declared) {
+  return {section("admission",
+                  [&overload] { return admission_keys(overload.admission); }),
+          section("capacity",
+                  [&overload, &declared] {
+                    declared.capacity = true;
+                    return capacity_keys(overload.capacity);
+                  }),
+          section("join_storm", [&overload] {
+            overload.has_join_storm = true;
+            return Table{number("at", overload.join_storm_at, 1.0, kMaxCount,
+                                /*required=*/true),
+                         number("fraction", overload.join_storm_fraction,
+                                kAboveZero, kBelowOne)};
+          })};
+}
+
+Table scenario_keys(Scenario& out, Declared& declared) {
+  return {
+      {.name = "schema", .kind = Kind::kEnum, .required = true,
+       .names = {"lagover.scenario.v1"}},
+      text("name", out.name),
+      choice("engine", out.async, {"rounds", "async"}),
+      choice("algorithm", out.algorithm, {"greedy", "hybrid", "fanout_greedy"}),
+      choice("oracle", out.oracle,
+             {"random", "random_capacity", "random_delay_capacity",
+              "random_delay"}),
+      integer("seed", out.seed, 0, kMaxInt64),
+      integer("trials", out.trials, 1, kMaxCount),
+      number("horizon", out.horizon, kMinPeriod, kMaxCount),
+      section("workload", [&out] { return workload_keys(out); }),
+      section("churn",
+              [&out] {
+                out.has_churn = true;
+                return Table{number("leave_probability", out.churn_leave, 0.0,
+                                    1.0),
+                             number("rejoin_probability", out.churn_join,
+                                    0.0, 1.0)};
+              }),
+      section("faults",
+              [&declared] {
+                return fault_keys(declared.faults.emplace_back());
+              },
+              /*array=*/true),
+      section("domains",
+              [&out] { return domain_keys(out.domains.emplace_back()); },
+              /*array=*/true),
+      section("adversary", [&out] { return adversary_keys(out.adversary); }),
+      section("defense", [&out] { return defense_keys(out.defense); }),
+      section("feed",
+              [&out] {
+                out.feed.enabled = true;
+                return feed_keys(out.feed);
+              }),
+      section("overload", [&out, &declared] {
+        declared.overload = true;
+        return overload_keys(out.overload, declared);
+      })};
+}
+
+/// A key's range as error messages print it, with "(0" and "1)" for
+/// the open bounds kAboveZero and kBelowOne stand in for.
+std::string range(const Key& key) {
+  const auto text = [](double value) -> std::string {
+    if (value >= kMaxInt64)
+      return std::to_string(std::numeric_limits<std::int64_t>::max());
+    char digits[32];
+    return {digits, std::to_chars(digits, digits + sizeof digits, value).ptr};
+  };
+  std::string out(key.min == kAboveZero ? "(0" : "[");
+  if (key.min != kAboveZero) out += text(key.min);
+  out += ", ";
+  out += key.max == kBelowOne ? std::string("1)") : text(key.max) + "]";
+  return out;
+}
+
+bool read(const Json& json, const Table& table, const std::string& path,
+          std::string* error);
+
+/// Checks one value against its key (NaN fails every range) and
+/// stores it.
+bool read_value(const Json& value, const Key& key, const std::string& where,
+                std::string* error) {
+  std::size_t index = 0;
+  switch (key.kind) {
+    case Kind::kSection:
+      return read(value, key.keys(), where, error);
+    case Kind::kBool:
+      if (!value.is_bool()) return fail(error, where + " must be a boolean");
+      break;
+    case Kind::kString:
+      if (value.as_string().empty())
+        return fail(error, where + " must be a non-empty string");
+      break;
+    case Kind::kEnum: {
+      const auto match =
+          std::find(key.names.begin(), key.names.end(), value.as_string());
+      if (!value.is_string() || match == key.names.end()) {
+        std::string names;
+        for (const std::string& name : key.names)
+          names += (names.empty() ? "\"" : " | \"") + name + "\"";
+        return fail(error, where + " must be " + names);
       }
-      domain.members.push_back(static_cast<NodeId>(member.as_int()));
+      index = static_cast<std::size_t>(match - key.names.begin());
+      break;
+    }
+    case Kind::kNumber:
+    case Kind::kInteger: {
+      const bool integer = key.kind == Kind::kInteger;
+      const double x = value.as_number(std::nan(""));
+      if (!(integer ? value.is_integer() : value.is_number()) ||
+          !(x >= key.min && x <= key.max))
+        return fail(error, where + " must be " +
+                               (integer ? "an integer" : "a number") +
+                               " in " + range(key));
+      break;
     }
   }
-  if (domain.fraction > 0.0 && !domain.members.empty()) {
-    set_error(error,
-              "domains[] entries take \"fraction\" or \"members\", not both");
-    return false;
-  }
-  if (domain.fraction <= 0.0 && domain.members.empty()) {
-    set_error(error, "domains[] entries need \"fraction\" or \"members\"");
-    return false;
-  }
-  const Json* windows = json.find("windows");
-  if (windows == nullptr || !windows->is_array() || windows->size() == 0) {
-    set_error(error, "domains[] entries need a non-empty \"windows\" array");
-    return false;
-  }
-  for (const Json& entry : windows->elements()) {
-    if (!entry.is_object() ||
-        !check_keys(entry, "domains[].windows[]", {"start", "end", "fault"},
-                    error))
-      return false;
-    fault::DomainWindow window;
-    if (!read_number(entry, "start", window.start, "domains[].windows[]",
-                     error) ||
-        !read_number(entry, "end", window.end, "domains[].windows[]", error))
-      return false;
-    if (window.start < 0.0 || window.end < window.start) {
-      set_error(error, "domains[].windows[] need 0 <= start <= end");
-      return false;
-    }
-    const Json* fault_kind = entry.find("fault");
-    const std::string kind =
-        fault_kind == nullptr ? "crash" : fault_kind->as_string();
-    if (kind == "crash") window.fault = fault::DomainFault::kCrash;
-    else if (kind == "partition") window.fault = fault::DomainFault::kPartition;
-    else {
-      set_error(error,
-                "domains[].windows[].fault must be \"crash\" or \"partition\"");
-      return false;
-    }
-    domain.windows.push_back(window);
-  }
+  if (key.write) key.write(value, index);
   return true;
 }
 
-bool parse_adversary_section(const Json& json, Scenario& out,
-                             std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "\"adversary\" must be an object");
-    return false;
+/// Reads the object `json` through `table`: each member must be a key
+/// of the table, of its kind and within its range, and each required
+/// key must appear. `path` names the section in errors.
+bool read(const Json& json, const Table& table, const std::string& path,
+          std::string* error) {
+  if (!json.is_object()) return fail(error, path + " must be an object");
+  for (const auto& [name, value] : json.members()) {
+    std::string where = path + ".";
+    where += name;
+    const auto key = std::find_if(table.begin(), table.end(),
+                                  [&](const Key& k) { return name == k.name; });
+    if (key == table.end())
+      return fail(error, "unknown key \"" + where + "\"");
+    if (!key->array) {
+      if (!read_value(value, *key, where, error)) return false;
+      continue;
+    }
+    if (!value.is_array()) return fail(error, where + " must be an array");
+    for (const Json& element : value.elements())
+      if (!read_value(element, *key, where + "[]", error)) return false;
   }
-  if (!check_keys(json, "adversary",
-                  {"delay_liar_fraction", "fanout_liar_fraction",
-                   "free_rider_fraction", "flapper_fraction",
-                   "delay_understatement", "flap_period", "flap_duty", "salt"},
-                  error))
-    return false;
-  fault::ByzantineSpec& spec = out.adversary;
-  if (!read_fraction(json, "delay_liar_fraction", spec.delay_liar_fraction,
-                     "adversary", error) ||
-      !read_fraction(json, "fanout_liar_fraction", spec.fanout_liar_fraction,
-                     "adversary", error) ||
-      !read_fraction(json, "free_rider_fraction", spec.free_rider_fraction,
-                     "adversary", error) ||
-      !read_fraction(json, "flapper_fraction", spec.flapper_fraction,
-                     "adversary", error))
-    return false;
-  if (spec.delay_liar_fraction + spec.fanout_liar_fraction +
-          spec.free_rider_fraction + spec.flapper_fraction >
-      1.0 + 1e-9) {
-    set_error(error, "adversary fractions must sum to <= 1");
-    return false;
-  }
-  if (!read_int(json, "delay_understatement", 1, kMaxCount,
-                spec.delay_understatement, "adversary", error) ||
-      !read_number(json, "flap_period", spec.flap_period, "adversary",
-                   error) ||
-      !read_fraction(json, "flap_duty", spec.flap_duty, "adversary", error))
-    return false;
-  if (spec.flap_period <= 0.0) {
-    set_error(error, "adversary.flap_period must be > 0");
-    return false;
-  }
-  return read_int(json, "salt", 0, kMaxInt64, spec.salt, "adversary", error);
+  for (const Key& key : table)
+    if (key.required && json.find(key.name) == nullptr)
+      return fail(error, path + " needs \"" + key.name + "\"");
+  return true;
 }
 
-bool parse_defense_section(const Json& json, Scenario& out,
-                           std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "\"defense\" must be an object");
-    return false;
+template <typename Window>
+bool ordered(const std::vector<Window>& windows) {
+  return std::all_of(windows.begin(), windows.end(),
+                     [](const Window& w) { return w.start <= w.end; });
+}
+
+/// The rules that tie keys together, checked once every key is read, so
+/// the order of sections in a document never matters.
+bool check_rules(const Scenario& scenario, const Declared& declared,
+                 std::string* error) {
+  if (!ordered(declared.faults))
+    return fail(error, "scenario.faults[] need start <= end");
+  const std::size_t peers = scenario.workload_params.peers;
+  for (const ScenarioDomain& domain : scenario.domains) {
+    if ((domain.fraction > 0.0) == !domain.members.empty())
+      return fail(error, "scenario.domains[] entries take \"fraction\" or "
+                         "\"members\", exactly one");
+    for (const NodeId member : domain.members)
+      if (member > peers)
+        return fail(error,
+                    "scenario.domains[].members must be consumer ids in "
+                    "[1, " + std::to_string(peers) + "]");
+    if (domain.windows.empty())
+      return fail(error, "scenario.domains[] entries need \"windows\"");
+    if (!ordered(domain.windows))
+      return fail(error, "scenario.domains[].windows[] need start <= end");
   }
-  if (!check_keys(json, "defense",
-                  {"enabled", "probation_threshold", "quarantine_threshold",
-                   "blacklist_threshold", "oracle_plausibility",
-                   "delay_verification", "receipt_audit"},
-                  error))
-    return false;
-  health::DefenseConfig& defense = out.defense;
-  if (!read_bool(json, "enabled", defense.enabled, "defense", error) ||
-      !read_number(json, "probation_threshold", defense.probation_threshold,
-                   "defense", error) ||
-      !read_number(json, "quarantine_threshold", defense.quarantine_threshold,
-                   "defense", error) ||
-      !read_number(json, "blacklist_threshold", defense.blacklist_threshold,
-                   "defense", error) ||
-      !read_bool(json, "oracle_plausibility", defense.oracle_plausibility,
-                 "defense", error) ||
-      !read_bool(json, "delay_verification", defense.delay_verification,
-                 "defense", error) ||
-      !read_bool(json, "receipt_audit", defense.receipt_audit, "defense",
-                 error))
-    return false;
+  const fault::ByzantineSpec& adversary = scenario.adversary;
+  if (adversary.delay_liar_fraction + adversary.fanout_liar_fraction +
+          adversary.free_rider_fraction + adversary.flapper_fraction >
+      1.0 + 1e-9)
+    return fail(error, "scenario.adversary fractions must sum to <= 1");
+  const health::DefenseConfig& defense = scenario.defense;
   if (!(defense.probation_threshold <= defense.quarantine_threshold &&
-        defense.quarantine_threshold <= defense.blacklist_threshold)) {
-    set_error(error, "defense thresholds must be ordered probation <="
-                     " quarantine <= blacklist");
-    return false;
-  }
-  return true;
-}
-
-bool parse_feed_section(const Json& json, Scenario& out, std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "\"feed\" must be an object");
-    return false;
-  }
-  if (!check_keys(json, "feed",
-                  {"duration", "push_loss", "recovery", "recovery_period",
-                   "publish_period"},
-                  error))
-    return false;
-  ScenarioFeed& feed = out.feed;
-  feed.enabled = true;
-  if (!read_number(json, "duration", feed.duration, "feed", error) ||
-      !read_fraction(json, "push_loss", feed.push_loss, "feed", error) ||
-      !read_bool(json, "recovery", feed.recovery, "feed", error) ||
-      !read_number(json, "recovery_period", feed.recovery_period, "feed",
-                   error) ||
-      !read_number(json, "publish_period", feed.publish_period, "feed", error))
-    return false;
-  if (feed.duration <= 0.0 || feed.recovery_period <= 0.0 ||
-      feed.publish_period <= 0.0) {
-    set_error(error, "feed durations and periods must be > 0");
-    return false;
-  }
-  if (feed.push_loss >= 1.0) {
-    set_error(error, "feed.push_loss must be < 1");
-    return false;
-  }
-  return true;
-}
-
-bool parse_admission_subsection(const Json& json, AdmissionConfig& out,
-                                std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "overload.admission must be an object");
-    return false;
-  }
-  if (!check_keys(json, "overload.admission",
-                  {"rate_limit", "window", "retry_after",
-                   "breaker_trip_windows", "breaker_cooldown",
-                   "breaker_close_windows", "serve_stale"},
-                  error))
-    return false;
-  const char* section = "overload.admission";
-  if (!read_number(json, "rate_limit", out.rate_limit, section, error) ||
-      !read_number(json, "window", out.window, section, error) ||
-      !read_number(json, "retry_after", out.retry_after, section, error) ||
-      !read_number(json, "breaker_cooldown", out.breaker_cooldown, section,
-                   error) ||
-      !read_bool(json, "serve_stale", out.serve_stale, section, error))
-    return false;
-  if (out.rate_limit <= 0.0) {
-    set_error(error, "overload.admission.rate_limit must be > 0");
-    return false;
-  }
-  if (out.window <= 0.0 || out.retry_after <= 0.0 ||
-      out.breaker_cooldown <= 0.0) {
-    set_error(error, "overload.admission windows and waits must be > 0");
-    return false;
-  }
-  return read_int(json, "breaker_trip_windows", 1, kMaxCount,
-                  out.breaker_trip_windows, section, error) &&
-         read_int(json, "breaker_close_windows", 1, kMaxCount,
-                  out.breaker_close_windows, section, error);
-}
-
-bool parse_capacity_subsection(const Json& json, feed::CapacityConfig& out,
-                               std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "overload.capacity must be an object");
-    return false;
-  }
-  if (!check_keys(json, "overload.capacity",
-                  {"relay_budget", "queue_limit", "shedding", "squeezes"},
-                  error))
-    return false;
-  const char* section = "overload.capacity";
-  if (!read_int(json, "relay_budget", 0, kMaxCount, out.relay_budget,
-                section, error) ||
-      !read_int(json, "queue_limit", 0, kMaxCount, out.queue_limit, section,
-                error) ||
-      !read_bool(json, "shedding", out.shedding, section, error))
-    return false;
-  if (const Json* squeezes = json.find("squeezes")) {
-    if (!squeezes->is_array()) {
-      set_error(error, "overload.capacity.squeezes must be an array");
-      return false;
-    }
-    for (const Json& entry : squeezes->elements()) {
-      if (!entry.is_object() ||
-          !check_keys(entry, "overload.capacity.squeezes[]",
-                      {"start", "end", "factor"}, error))
-        return false;
-      feed::CapacitySqueeze squeeze;
-      if (!read_number(entry, "start", squeeze.start,
-                       "overload.capacity.squeezes[]", error) ||
-          !read_number(entry, "end", squeeze.end,
-                       "overload.capacity.squeezes[]", error) ||
-          !read_number(entry, "factor", squeeze.factor,
-                       "overload.capacity.squeezes[]", error))
-        return false;
-      if (squeeze.start < 0.0 || squeeze.end < squeeze.start) {
-        set_error(error,
-                  "overload.capacity.squeezes[] need 0 <= start <= end");
-        return false;
-      }
-      if (squeeze.factor <= 0.0 || squeeze.factor > 1.0) {
-        set_error(error,
-                  "overload.capacity.squeezes[].factor must be in (0, 1]");
-        return false;
-      }
-      out.squeezes.push_back(squeeze);
-    }
-  }
-  return true;
-}
-
-bool parse_overload_section(const Json& json, Scenario& out,
-                            std::string* error) {
-  if (!json.is_object()) {
-    set_error(error, "\"overload\" must be an object");
-    return false;
-  }
-  if (!check_keys(json, "overload", {"admission", "capacity", "join_storm"},
-                  error))
-    return false;
-  if (const Json* admission = json.find("admission"))
-    if (!parse_admission_subsection(*admission, out.overload.admission, error))
-      return false;
-  if (const Json* capacity = json.find("capacity"))
-    if (!parse_capacity_subsection(*capacity, out.overload.capacity, error))
-      return false;
-  if (const Json* storm = json.find("join_storm")) {
-    if (!storm->is_object() ||
-        !check_keys(*storm, "overload.join_storm", {"at", "fraction"}, error))
-      return false;
-    // A join storm needs the parked crowd intact until it fires and a
-    // clean absorption read afterwards; background churn would blur
-    // both, so the two are mutually exclusive.
-    if (out.has_churn) {
-      set_error(error,
-                "overload.join_storm and \"churn\" are mutually exclusive");
-      return false;
-    }
-    out.overload.has_join_storm = true;
-    if (!read_number(*storm, "at", out.overload.join_storm_at,
-                     "overload.join_storm", error) ||
-        !read_fraction(*storm, "fraction", out.overload.join_storm_fraction,
-                       "overload.join_storm", error))
-      return false;
-    if (out.overload.join_storm_at < 1.0) {
-      set_error(error, "overload.join_storm.at must be >= 1");
-      return false;
-    }
-    if (out.overload.join_storm_fraction <= 0.0 ||
-        out.overload.join_storm_fraction >= 1.0) {
-      set_error(error,
-                "overload.join_storm.fraction must be in (0, 1)");
-      return false;
-    }
-  }
-  if (out.overload.empty()) {
-    set_error(error, "\"overload\" must declare admission, capacity, or"
-                     " join_storm");
-    return false;
-  }
+        defense.quarantine_threshold <= defense.blacklist_threshold))
+    return fail(error, "scenario.defense thresholds must be ordered "
+                       "probation <= quarantine <= blacklist");
+  if (declared.overload && scenario.overload.empty())
+    return fail(error, "scenario.overload must declare admission, capacity, "
+                       "or join_storm");
+  // A join storm needs the parked crowd intact until it fires and a
+  // clean absorption read afterwards; background churn would blur both.
+  if (scenario.overload.has_join_storm && scenario.has_churn)
+    return fail(error, "scenario.overload.join_storm and scenario.churn are "
+                       "mutually exclusive");
+  // The feed phase is the only consumer of capacity, on its own clock
+  // from 0 to feed.duration: a setting outside it never takes effect.
+  const feed::CapacityConfig& capacity = scenario.overload.capacity;
+  if (declared.capacity && !scenario.feed.enabled)
+    return fail(error, "scenario.overload.capacity needs a feed section");
+  if (!ordered(capacity.squeezes))
+    return fail(error, "scenario.overload.capacity.squeezes[] need start <= "
+                       "end");
+  for (const feed::CapacitySqueeze& squeeze : capacity.squeezes)
+    if (squeeze.start >= scenario.feed.duration)
+      return fail(error, "scenario.overload.capacity.squeezes[].start must "
+                         "fall before feed.duration");
   return true;
 }
 
@@ -550,92 +455,12 @@ bool parse_overload_section(const Json& json, Scenario& out,
 
 bool parse_scenario(const Json& json, Scenario& out, std::string* error) {
   out = Scenario{};
-  if (!json.is_object()) {
-    set_error(error, "scenario document must be a JSON object");
+  Declared declared;
+  if (!read(json, scenario_keys(out, declared), "scenario", error) ||
+      !check_rules(out, declared, error))
     return false;
-  }
-  if (!check_keys(json, "scenario",
-                  {"schema", "name", "engine", "algorithm", "oracle", "seed",
-                   "trials", "horizon", "workload", "churn", "faults",
-                   "domains", "adversary", "defense", "feed", "overload"},
-                  error))
-    return false;
-  const Json* schema = json.find("schema");
-  if (schema == nullptr || schema->as_string() != "lagover.scenario.v1") {
-    set_error(error, "\"schema\" must be \"lagover.scenario.v1\"");
-    return false;
-  }
-  const Json* name = json.find("name");
-  if (name == nullptr || !name->is_string() || name->as_string().empty()) {
-    set_error(error, "scenario needs a non-empty \"name\"");
-    return false;
-  }
-  out.name = name->as_string();
-  if (const Json* engine = json.find("engine")) {
-    if (engine->as_string() == "async") out.async = true;
-    else if (engine->as_string() == "rounds") out.async = false;
-    else {
-      set_error(error, "\"engine\" must be \"async\" or \"rounds\"");
-      return false;
-    }
-  }
-  if (const Json* algorithm = json.find("algorithm")) {
-    if (!parse_algorithm(algorithm->as_string(), out.algorithm)) {
-      set_error(error,
-                "\"algorithm\" must be greedy | hybrid | fanout_greedy");
-      return false;
-    }
-  }
-  if (const Json* oracle = json.find("oracle")) {
-    if (!parse_oracle(oracle->as_string(), out.oracle)) {
-      set_error(error, "\"oracle\" must be random | random_capacity |"
-                       " random_delay_capacity | random_delay");
-      return false;
-    }
-  }
-  if (!read_int(json, "seed", 0, kMaxInt64, out.seed, "scenario", error) ||
-      !read_int(json, "trials", 1, kMaxCount, out.trials, "scenario", error) ||
-      !read_number(json, "horizon", out.horizon, "scenario", error))
-    return false;
-  if (out.horizon <= 0.0) {
-    set_error(error, "\"horizon\" must be > 0");
-    return false;
-  }
-  if (const Json* workload = json.find("workload"))
-    if (!parse_workload_section(*workload, out, error)) return false;
-  if (const Json* churn = json.find("churn"))
-    if (!parse_churn_section(*churn, out, error)) return false;
-  if (const Json* faults = json.find("faults")) {
-    if (!faults->is_array()) {
-      set_error(error, "\"faults\" must be an array of windows");
-      return false;
-    }
-    for (const Json& entry : faults->elements()) {
-      fault::FaultWindow window;
-      if (!parse_fault_window(entry, window, error)) return false;
-      out.fault_plan.add(window);
-    }
-  }
-  if (const Json* domains = json.find("domains")) {
-    if (!domains->is_array()) {
-      set_error(error, "\"domains\" must be an array");
-      return false;
-    }
-    for (const Json& entry : domains->elements()) {
-      ScenarioDomain domain;
-      if (!parse_domain(entry, out.workload_params.peers, domain, error))
-        return false;
-      out.domains.push_back(std::move(domain));
-    }
-  }
-  if (const Json* adversary = json.find("adversary"))
-    if (!parse_adversary_section(*adversary, out, error)) return false;
-  if (const Json* defense = json.find("defense"))
-    if (!parse_defense_section(*defense, out, error)) return false;
-  if (const Json* feed = json.find("feed"))
-    if (!parse_feed_section(*feed, out, error)) return false;
-  if (const Json* overload = json.find("overload"))
-    if (!parse_overload_section(*overload, out, error)) return false;
+  for (const fault::FaultWindow& entry : declared.faults)
+    out.fault_plan.add(entry);
   return true;
 }
 
@@ -643,16 +468,14 @@ bool load_scenario_file(const std::string& path, Scenario& out,
                         std::string* error) {
   std::ifstream in(path);
   if (!in) {
-    set_error(error, "cannot open " + path);
-    return false;
+    return fail(error, "cannot open " + path);
   }
   std::ostringstream text;
   text << in.rdbuf();
   Json json;
   std::string parse_error;
   if (!Json::parse(text.str(), json, &parse_error)) {
-    set_error(error, path + ": " + parse_error);
-    return false;
+    return fail(error, path + ": " + parse_error);
   }
   if (!parse_scenario(json, out, error)) {
     if (error != nullptr) *error = path + ": " + *error;

@@ -7,10 +7,33 @@
 // "lagover.bench.v1" summary.
 //
 // The schema (all sections optional except "name"; unknown keys are
-// rejected so typos fail loudly in CI). Integer keys take JSON integers
-// only ("3", not "3.0" or "3e0") within their ranges: seed and salt in
-// [0, 2^63 - 1], domain members in [1, peers], and the count-like keys
-// (trials, peers, latencies, fanouts, windows, ticks) at most 2^20:
+// rejected so typos fail loudly in CI). One table per section in
+// scenario.cpp lists each key once, with its JSON kind, its closed and
+// finite range (NaN and 1e400 fail every range) and whether it must
+// appear; the struct member initializers below hold the defaults.
+//   * Required: schema, name, every window's start and end, a domain's
+//     name and windows, admission.rate_limit and join_storm.at.
+//   * Integer keys take JSON integers only ("3", not "3.0" or "3e0"):
+//     seed and salt in [0, 2^63 - 1], domain members in [1, peers], and
+//     the count-like keys (trials, peers, latencies, fanouts, windows,
+//     ticks) at most 2^20.
+//   * Time values (the horizon, window bounds, durations, downtime,
+//     staleness, delay amount, the join storm's "at", the ladder
+//     thresholds) are at most 2^20; periods, waits and rate limits
+//     (recovery_period, publish_period, flap_period, admission window,
+//     retry_after, breaker_cooldown, rate_limit) and the horizon and
+//     feed duration are at least 2^-20, so the clock always advances.
+//   * Probabilities and fractions lie in [0, 1]; push_loss and
+//     partition_fraction below 1, join_storm.fraction in (0, 1), a
+//     squeeze factor in (0, 1].
+//   * Rules over several keys run once every key is read, so the order
+//     of sections never matters: window start <= end; a domain takes
+//     fraction xor members; adversary fractions sum to <= 1; ladder
+//     thresholds are ordered; join_storm excludes churn; an overload
+//     section declares something; and overload.capacity needs a feed
+//     section, whose phase (its own clock, from 0 to feed.duration) is
+//     capacity's only consumer, so every squeeze starts before
+//     feed.duration.
 //
 //   {
 //     "schema": "lagover.scenario.v1",
@@ -51,7 +74,7 @@
 //              "recovery": true, "recovery_period": 2.0,
 //              "publish_period": 3.0},
 //     "overload": {                             // overload resilience
-//       "admission": {"rate_limit": 20, "window": 5.0,
+//       "admission": {"rate_limit": 20, "window": 5.0,  // rate required
 //                     "retry_after": 2.0, "breaker_trip_windows": 3,
 //                     "breaker_cooldown": 20.0,
 //                     "breaker_close_windows": 2, "serve_stale": true},

@@ -83,6 +83,9 @@ TEST(HealthPropertyTest, IndexMatchesBfsRecomputeEveryRoundUnderChurn) {
     for (std::uint64_t seed : {3u, 17u, 29u}) {
       TelemetryGuard telemetry_guard(true);
       HealthGuard health_guard;
+      std::vector<Json> samples;
+      health_guard.recorder().set_sample_mirror(
+          [&samples](const Json& line) { samples.push_back(line); });
       EngineConfig config;
       config.algorithm = algorithm;
       config.seed = seed;
@@ -97,8 +100,6 @@ TEST(HealthPropertyTest, IndexMatchesBfsRecomputeEveryRoundUnderChurn) {
             << "algorithm=" << static_cast<int>(algorithm)
             << " seed=" << seed << " round=" << round << "\n"
             << report.to_string();
-        const std::vector<Json> samples =
-            health_guard.recorder().recent_samples();
         ASSERT_FALSE(samples.empty());
         EXPECT_EQ(samples.back().find("round")->as_int(), stats.round);
         EXPECT_EQ(samples.back().find("orphans")->as_int(),
@@ -158,6 +159,9 @@ Population hand_population() {
 TEST(HealthSampleTest, PinsEveryFieldOnAHandBuiltOverlay) {
   TelemetryGuard telemetry_guard(true);
   HealthGuard health_guard;
+  std::vector<Json> lines;
+  health_guard.recorder().set_sample_mirror(
+      [&lines](const Json& line) { lines.push_back(line); });
   RuntimeConfig config;
   {
     NodeRuntime runtime(hand_population(), config, /*timeout_limit=*/3);
@@ -175,7 +179,6 @@ TEST(HealthSampleTest, PinsEveryFieldOnAHandBuiltOverlay) {
     runtime.join(7);
     runtime.sample_health(2.0);
   }
-  const std::vector<Json> lines = health_guard.recorder().recent_samples();
   ASSERT_EQ(lines.size(), 2u);
   const Json& churn = *lines.front().find("churn");
   EXPECT_EQ(churn.find("attaches")->as_int(), 6);
@@ -318,14 +321,15 @@ TEST(HealthConvergenceTest, StabilityWindowRejectsTransientConvergence) {
 // ------------------------------------------------- stream and JSON
 
 // The stream stays within its budget by stride doubling, while the
-// in-memory sample count keeps every round.
+// in-memory sample count and the mirror keep every round.
 TEST(HealthStreamTest, StrideDoublingBoundsEmittedSamples) {
   TelemetryGuard telemetry_guard(true);
   OverlayHealthRecorder::Config recorder_config;
   recorder_config.stream_budget = 8;
-  recorder_config.ring_capacity = 4;
   HealthGuard health_guard(recorder_config);
   auto& recorder = health_guard.recorder();
+  std::size_t mirrored = 0;
+  recorder.set_sample_mirror([&mirrored](const Json&) { ++mirrored; });
   const std::uint64_t run = recorder.begin_run(16);
   for (int round = 1; round <= 200; ++round) {
     HealthSample sample;
@@ -337,7 +341,7 @@ TEST(HealthStreamTest, StrideDoublingBoundsEmittedSamples) {
   // Emitted samples: at most budget per stride generation, log2(200/8)
   // generations — far fewer than 200.
   EXPECT_LE(recorder.stream_lines(), 2u + 8u * 6u);
-  EXPECT_EQ(recorder.recent_samples().size(), 4u);
+  EXPECT_EQ(mirrored, 200u);
 }
 
 // The embedded bench block carries run/convergence statistics.

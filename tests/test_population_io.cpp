@@ -1,6 +1,9 @@
 // Tests for the population text format.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/error.hpp"
 #include "workload/constraints.hpp"
 #include "workload/population_io.hpp"
@@ -56,6 +59,24 @@ TEST(PopulationIoTest, RejectsMalformedInput) {
   // latency 0 fails population validation
   EXPECT_THROW(parse_population_text("source 1\npeer 1 0\n"),
                InvalidArgument);
+}
+
+TEST(PopulationIoTest, RejectsMoreConsumersThanTheCountBound) {
+  // 2^20 + 1 consumers, in one line or across two: the error names the
+  // line that passes the bound.
+  const std::pair<const char*, const char*> cases[] = {
+      {"source 1\npeers 1048577 1 3\n", "line 2"},
+      {"source 1\npeers 1048576 1 3\npeer 1 3\n", "line 3"}};
+  for (const auto& [text, line] : cases) {
+    try {
+      parse_population_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const InvalidArgument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(line), std::string::npos) << message;
+      EXPECT_NE(message.find("1048576"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(PopulationIoTest, FileRoundTrip) {

@@ -1,15 +1,20 @@
 // Scenario-engine tests: the strict "lagover.scenario.v1" parser
 // (defaults, full documents, loud rejection of typos and out-of-range
 // values), the domain/adversary/injector builders, loading the checked-in
-// example scenarios, and trial-level determinism (same scenario + trial
-// index, same result).
+// example scenarios, a seeded mutation harness over hostile documents,
+// and trial-level determinism (same scenario + trial index, same result).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "workload/scenario.hpp"
 
 #ifndef LAGOVER_SOURCE_DIR
@@ -41,26 +46,21 @@ std::string parse_error(const std::string& text) {
   return error;
 }
 
-TEST(ScenarioParseTest, MinimalDocumentGetsDefaults) {
-  const Scenario s =
-      parse_ok(R"({"schema": "lagover.scenario.v1", "name": "minimal"})");
-  EXPECT_EQ(s.name, "minimal");
-  EXPECT_TRUE(s.async);
-  EXPECT_EQ(s.algorithm, AlgorithmKind::kHybrid);
-  EXPECT_EQ(s.oracle, OracleKind::kRandomDelay);
-  EXPECT_EQ(s.seed, 1u);
-  EXPECT_EQ(s.trials, 1);
-  EXPECT_DOUBLE_EQ(s.horizon, 600.0);
-  EXPECT_EQ(s.workload, WorkloadKind::kBiUnCorr);
-  EXPECT_FALSE(s.has_churn);
-  EXPECT_FALSE(s.has_faults());
-  EXPECT_TRUE(s.adversary.empty());
-  EXPECT_FALSE(s.defense.enabled);
-  EXPECT_FALSE(s.feed.enabled);
+/// The checked-in example scenarios, examples/scenario_*.json, sorted.
+std::vector<std::string> example_scenarios() {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(LAGOVER_SOURCE_DIR) + "/examples")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("scenario_", 0) == 0 && entry.path().extension() == ".json")
+      paths.push_back(entry.path().string());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
-TEST(ScenarioParseTest, FullDocumentRoundTrips) {
-  const Scenario s = parse_ok(R"({
+/// Declares every section but overload (the harness mutates it too).
+const char* const kFullDocument = R"({
     "schema": "lagover.scenario.v1",
     "name": "full",
     "engine": "rounds",
@@ -82,7 +82,28 @@ TEST(ScenarioParseTest, FullDocumentRoundTrips) {
                 "quarantine_threshold": 4.0, "blacklist_threshold": 9.0,
                 "receipt_audit": false},
     "feed": {"duration": 120, "push_loss": 0.1, "recovery": true}
-  })");
+  })";
+
+TEST(ScenarioParseTest, MinimalDocumentGetsDefaults) {
+  const Scenario s =
+      parse_ok(R"({"schema": "lagover.scenario.v1", "name": "minimal"})");
+  EXPECT_EQ(s.name, "minimal");
+  EXPECT_TRUE(s.async);
+  EXPECT_EQ(s.algorithm, AlgorithmKind::kHybrid);
+  EXPECT_EQ(s.oracle, OracleKind::kRandomDelay);
+  EXPECT_EQ(s.seed, 1u);
+  EXPECT_EQ(s.trials, 1);
+  EXPECT_DOUBLE_EQ(s.horizon, 600.0);
+  EXPECT_EQ(s.workload, WorkloadKind::kBiUnCorr);
+  EXPECT_FALSE(s.has_churn);
+  EXPECT_FALSE(s.has_faults());
+  EXPECT_TRUE(s.adversary.empty());
+  EXPECT_FALSE(s.defense.enabled);
+  EXPECT_FALSE(s.feed.enabled);
+}
+
+TEST(ScenarioParseTest, FullDocumentRoundTrips) {
+  const Scenario s = parse_ok(kFullDocument);
   EXPECT_FALSE(s.async);
   EXPECT_EQ(s.algorithm, AlgorithmKind::kGreedy);
   EXPECT_EQ(s.oracle, OracleKind::kRandom);
@@ -172,10 +193,12 @@ TEST(ScenarioParseTest, RejectsBadEnumsAndRanges) {
 TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
   // Each document sets one integer key badly: a float, a string, a value
   // beyond the key's range, or one that would wrap in a narrowing cast.
-  // The last three set the live-only capacity rules (LiveConfig), which
-  // the feed phase, an event-core run, cannot honour, so the schema
-  // does not know them. Each must fail to parse with an error naming
-  // the key.
+  // Three set the live-only capacity rules (LiveConfig), which the feed
+  // phase, an event-core run, cannot honour, so the schema does not
+  // know them. Then every number key in turn is set just outside its
+  // closed, finite range or to 1e400: time values stop at 2^20, periods,
+  // waits and rate limits start at 2^-20. Each must fail to parse with
+  // an error naming the key.
   const std::pair<const char*, const char*> cases[] = {
       {R"("trials": 3000000000)", "trials"},
       {R"("trials": 2.9)", "trials"},
@@ -213,6 +236,88 @@ TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
       {R"("overload": {"capacity": {"recovery_ticks": 3}})",
        "recovery_ticks"},
       {R"("overload": {"capacity": {"starve_limit": 30}})", "starve_limit"},
+      // The documents that used to hang bench_scenario or run one round.
+      {R"("feed": {"duration": 1e400})", "duration"},
+      {R"("feed": {"duration": 10, "recovery": true,
+                   "recovery_period": 1e-300})",
+       "recovery_period"},
+      {R"("horizon": 1e400, "churn": {"leave_probability": 0.01})",
+       "horizon"},
+      {R"("engine": "rounds", "horizon": 1e300)", "horizon"},
+      // One row per number key.
+      {R"("horizon": 1048577)", "horizon"},
+      {R"("churn": {"leave_probability": -0.1})", "leave_probability"},
+      {R"("churn": {"rejoin_probability": 1e400})", "rejoin_probability"},
+      {R"("faults": [{"start": -1, "end": 5}])", "start"},
+      {R"("faults": [{"start": 0, "end": 1048577}])", "end"},
+      {R"("faults": [{"start": 0, "end": 5, "drop_probability": 1.5}])",
+       "drop_probability"},
+      {R"("faults": [{"start": 0, "end": 5, "delay_probability": -0.5}])",
+       "delay_probability"},
+      {R"("faults": [{"start": 0, "end": 5, "delay_amount": 1e400}])",
+       "delay_amount"},
+      {R"("faults": [{"start": 0, "end": 5,
+                      "duplicate_probability": 1e400}])",
+       "duplicate_probability"},
+      {R"("faults": [{"start": 0, "end": 5,
+                      "oracle_staleness": 1048577}])",
+       "oracle_staleness"},
+      {R"("faults": [{"start": 0, "end": 5, "crash_probability": -1}])",
+       "crash_probability"},
+      {R"("faults": [{"start": 0, "end": 5, "crash_downtime": -1}])",
+       "crash_downtime"},
+      {R"("faults": [{"start": 0, "end": 5, "partition_fraction": 1}])",
+       "partition_fraction"},
+      {R"("domains": [{"name": "r", "fraction": 1.5,
+                       "windows": [{"start": 0, "end": 1}]}])",
+       "fraction"},
+      {R"("domains": [{"name": "r", "fraction": 0.2,
+                       "windows": [{"start": -1, "end": 1}]}])",
+       "start"},
+      {R"("domains": [{"name": "r", "fraction": 0.2,
+                       "windows": [{"start": 0, "end": 1e400}]}])",
+       "end"},
+      {R"("adversary": {"delay_liar_fraction": 1.5})", "delay_liar_fraction"},
+      {R"("adversary": {"fanout_liar_fraction": -0.1})",
+       "fanout_liar_fraction"},
+      {R"("adversary": {"free_rider_fraction": 1e400})",
+       "free_rider_fraction"},
+      {R"("adversary": {"flapper_fraction": 2})", "flapper_fraction"},
+      {R"("adversary": {"flapper_fraction": 0.1, "flap_period": 0})",
+       "flap_period"},
+      {R"("adversary": {"flapper_fraction": 0.1, "flap_duty": 1e400})",
+       "flap_duty"},
+      {R"("defense": {"probation_threshold": -1})", "probation_threshold"},
+      {R"("defense": {"quarantine_threshold": 1e400})",
+       "quarantine_threshold"},
+      {R"("defense": {"blacklist_threshold": 1048577})",
+       "blacklist_threshold"},
+      {R"("feed": {"push_loss": -0.1})", "push_loss"},
+      {R"("feed": {"publish_period": 1e-300})", "publish_period"},
+      {R"("overload": {"admission": {"rate_limit": 1e400}})", "rate_limit"},
+      {R"("overload": {"admission": {"rate_limit": 1, "window": 0}})",
+       "window"},
+      {R"("overload": {"admission": {"rate_limit": 1,
+                                     "retry_after": 1e-300}})",
+       "retry_after"},
+      {R"("overload": {"admission": {"rate_limit": 1,
+                                     "breaker_cooldown": 1e400}})",
+       "breaker_cooldown"},
+      {R"("feed": {"duration": 100},
+          "overload": {"capacity": {"relay_budget": 2,
+            "squeezes": [{"start": -1, "end": 5}]}})",
+       "start"},
+      {R"("feed": {"duration": 100},
+          "overload": {"capacity": {"relay_budget": 2,
+            "squeezes": [{"start": 0, "end": 1e400}]}})",
+       "end"},
+      {R"("feed": {"duration": 100},
+          "overload": {"capacity": {"relay_budget": 2,
+            "squeezes": [{"start": 0, "end": 5, "factor": 0}]}})",
+       "factor"},
+      {R"("overload": {"join_storm": {"at": 1048577}})", "at"},
+      {R"("overload": {"join_storm": {"at": 60, "fraction": -1e400}})",
+       "fraction"},
   };
   for (const auto& [fields, key] : cases) {
     const std::string doc =
@@ -221,16 +326,43 @@ TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
     const std::string error = parse_error(doc);
     EXPECT_NE(error.find(key), std::string::npos) << doc << "\n-> " << error;
   }
-  // The bounds themselves are accepted.
+  // The bounds themselves are accepted: 2^20 = 1048576 and 2^-20 =
+  // 9.5367431640625e-07.
   const Scenario edge = parse_ok(R"({
     "schema": "lagover.scenario.v1", "name": "edge", "seed": 0,
-    "trials": 1, "workload": {"peers": 20, "source_fanout": 0},
+    "trials": 1, "horizon": 1048576,
+    "workload": {"peers": 20, "source_fanout": 0},
+    "faults": [{"start": 0, "end": 1048576, "delay_amount": 1048576,
+                "oracle_staleness": 1048576, "crash_downtime": 1048576}],
     "domains": [{"name": "r", "members": [1, 20],
-                 "windows": [{"start": 0, "end": 1}]}]
+                 "windows": [{"start": 1048576, "end": 1048576}]}],
+    "adversary": {"flap_period": 9.5367431640625e-07},
+    "defense": {"probation_threshold": 1048576,
+                "quarantine_threshold": 1048576,
+                "blacklist_threshold": 1048576},
+    "feed": {"duration": 1048576, "recovery_period": 9.5367431640625e-07,
+             "publish_period": 9.5367431640625e-07},
+    "overload": {
+      "admission": {"rate_limit": 9.5367431640625e-07, "window": 1048576,
+                    "retry_after": 9.5367431640625e-07,
+                    "breaker_cooldown": 1048576,
+                    "breaker_trip_windows": 1048576},
+      "capacity": {"relay_budget": 1048576, "queue_limit": 1048576,
+                   "squeezes": [{"start": 0, "end": 1048576, "factor": 1}]},
+      "join_storm": {"at": 1048576}
+    }
   })");
+  const double two_pow_20 = 1048576.0;
   EXPECT_EQ(edge.seed, 0u);
   EXPECT_EQ(edge.workload_params.peers, 20u);
   EXPECT_EQ(edge.domains[0].members, (std::vector<NodeId>{1, 20}));
+  EXPECT_DOUBLE_EQ(edge.horizon, two_pow_20);
+  EXPECT_DOUBLE_EQ(edge.fault_plan.windows()[0].end, two_pow_20);
+  EXPECT_DOUBLE_EQ(edge.feed.duration, two_pow_20);
+  EXPECT_DOUBLE_EQ(edge.feed.publish_period, 1.0 / two_pow_20);
+  EXPECT_DOUBLE_EQ(edge.overload.admission.rate_limit, 1.0 / two_pow_20);
+  EXPECT_EQ(edge.overload.capacity.relay_budget, 1048576u);
+  EXPECT_DOUBLE_EQ(edge.overload.join_storm_at, two_pow_20);
 }
 
 TEST(ScenarioParseTest, OverloadSectionRoundTrips) {
@@ -243,7 +375,8 @@ TEST(ScenarioParseTest, OverloadSectionRoundTrips) {
       "capacity": {"relay_budget": 4, "queue_limit": 16, "shedding": true,
                    "squeezes": [{"start": 50, "end": 80, "factor": 0.25}]},
       "join_storm": {"at": 60, "fraction": 0.5}
-    }
+    },
+    "feed": {"duration": 100}
   })");
   EXPECT_FALSE(s.overload.empty());
   EXPECT_DOUBLE_EQ(s.overload.admission.rate_limit, 12.0);
@@ -268,13 +401,28 @@ TEST(ScenarioParseTest, OverloadRejectsBadShapes) {
   parse_error(R"({"schema": "lagover.scenario.v1", "name": "x",
                   "overload": {"admission": {"rate_limit": 0}}})");
   parse_error(R"({"schema": "lagover.scenario.v1", "name": "x",
+                  "feed": {"duration": 100},
                   "overload": {"capacity": {"relay_budget": 2,
                     "squeezes": [{"start": 10, "end": 5,
                                   "factor": 0.5}]}}})");
   parse_error(R"({"schema": "lagover.scenario.v1", "name": "x",
+                  "feed": {"duration": 100},
                   "overload": {"capacity": {"relay_budget": 2,
                     "squeezes": [{"start": 0, "end": 5,
                                   "factor": 1.5}]}}})");
+  // Capacity binds only in the feed phase, which runs on its own clock
+  // from 0 to feed.duration: capacity without a feed, or a squeeze that
+  // starts once the feed is over, could never take effect.
+  EXPECT_NE(parse_error(R"({"schema": "lagover.scenario.v1", "name": "x",
+                            "overload": {"capacity": {"relay_budget": 2}}})")
+                .find("feed"),
+            std::string::npos);
+  EXPECT_NE(parse_error(R"({"schema": "lagover.scenario.v1", "name": "x",
+                            "overload": {"capacity": {"relay_budget": 2,
+                              "squeezes": [{"start": 150, "end": 200}]}},
+                            "feed": {"duration": 150}})")
+                .find("start"),
+            std::string::npos);
   parse_error(R"({"schema": "lagover.scenario.v1", "name": "x",
                   "overload": {"join_storm": {"at": 60,
                                               "fraction": 1.0}}})");
@@ -324,15 +472,13 @@ TEST(ScenarioBuildTest, BuildersMaterializeDeclaredSections) {
 }
 
 TEST(ScenarioFileTest, CheckedInExamplesLoad) {
-  for (const char* name :
-       {"/examples/scenario_byzantine.json",
-        "/examples/scenario_rack_outage.json",
-        "/examples/scenario_overload.json"}) {
+  const std::vector<std::string> paths = example_scenarios();
+  EXPECT_GE(paths.size(), 3u);
+  for (const std::string& path : paths) {
     Scenario scenario;
     std::string error;
-    ASSERT_TRUE(workload::load_scenario_file(
-        std::string(LAGOVER_SOURCE_DIR) + name, scenario, &error))
-        << name << ": " << error;
+    ASSERT_TRUE(workload::load_scenario_file(path, scenario, &error))
+        << path << ": " << error;
     EXPECT_FALSE(scenario.name.empty());
     EXPECT_TRUE(scenario.feed.enabled);
   }
@@ -353,6 +499,117 @@ TEST(ScenarioFileTest, CheckedInExamplesLoad) {
       std::string(LAGOVER_SOURCE_DIR) + "/examples/no_such.json", scenario,
       &error));
   EXPECT_FALSE(error.empty());
+}
+
+// ------------------------------------------------- hostile documents
+
+std::size_t count_values(const Json& node) {
+  std::size_t count = 1;
+  for (const Json& element : node.elements()) count += count_values(element);
+  for (const auto& member : node.members())
+    count += count_values(member.second);
+  return count;
+}
+
+/// `node` serialized with its `target`-th value (pre-order, counted in
+/// `index`) replaced by the raw JSON text `raw` — text Json::dump cannot
+/// write, such as 1e400.
+std::string replaced(const Json& node, std::size_t target,
+                     const std::string& raw, std::size_t& index) {
+  if (index++ == target) return raw;
+  if (!node.is_array() && !node.is_object()) return node.dump();
+  std::string out;
+  for (const Json& element : node.elements()) {
+    if (!out.empty()) out += ',';
+    out += replaced(element, target, raw, index);
+  }
+  for (const auto& [key, value] : node.members()) {
+    if (!out.empty()) out += ',';
+    out += json_escape(key) + ":";
+    out += replaced(value, target, raw, index);
+  }
+  return node.is_array() ? "[" + out + "]" : "{" + out + "}";
+}
+
+// Seeded mutations of every example and of the full document: every
+// value replaced by each JSON kind and by numbers at and past the edges
+// of the ranges, every truncation, deep nesting, and byte flips. Each
+// input must come back from the parsers without a crash (the sanitizer
+// build runs this too), and an accepted one must keep every time value
+// the run loops on finite and within [0, 2^20].
+TEST(ScenarioMutationTest, HostileDocumentsNeverCrashOrEscapeTheirRanges) {
+  std::vector<std::string> seeds{kFullDocument};
+  for (const std::string& path : example_scenarios()) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    seeds.push_back(text.str());
+  }
+  const char* const values[] = {
+      "null", "true",   "false",   "7",       "0.5",     "\"x\"",
+      "[]",   "{}",     "[{}]",    "1e400",   "-1e400",  "1e-300",
+      "-1",   "0",      "1",       "1048576", "1048577", "9223372036854775808"};
+  const std::string flip_bytes = "0123456789-+.eE\"{}[],: tfn";
+  constexpr int kFlipsPerSeed = 25000;
+
+  std::size_t inputs = 0;
+  std::size_t accepted = 0;
+  std::size_t escaped = 0;
+  std::string first_escape;
+  const auto check = [&](const std::string& text) {
+    ++inputs;
+    Json json;
+    Scenario s;
+    if (!Json::parse(text, json) || !workload::parse_scenario(json, s))
+      return;
+    ++accepted;
+    std::vector<double> times{s.horizon, s.feed.duration,
+                              s.feed.recovery_period, s.feed.publish_period};
+    for (const auto& window : s.fault_plan.windows())
+      times.insert(times.end(), {window.start, window.end});
+    for (const auto& domain : s.domains)
+      for (const auto& window : domain.windows)
+        times.insert(times.end(), {window.start, window.end});
+    for (const auto& squeeze : s.overload.capacity.squeezes)
+      times.insert(times.end(), {squeeze.start, squeeze.end});
+    for (const double t : times)
+      if (!(t >= 0.0 && t <= 1048576.0)) {
+        if (escaped++ == 0) first_escape = text;
+        return;
+      }
+  };
+
+  Rng rng(20);
+  for (const std::string& seed : seeds) {
+    Json document;
+    ASSERT_TRUE(Json::parse(seed, document)) << seed;
+    const std::size_t count = count_values(document);
+    for (std::size_t target = 0; target < count; ++target)
+      for (const char* value : values) {
+        std::size_t index = 0;
+        check(replaced(document, target, value, index));
+      }
+    for (std::size_t length = 0; length < seed.size(); ++length)
+      check(seed.substr(0, length));
+    for (int round = 0; round < kFlipsPerSeed; ++round) {
+      std::string text = seed;
+      for (std::uint64_t k = rng.next_below(4); k < 4; ++k) {
+        const auto at = static_cast<std::size_t>(rng.next_below(text.size()));
+        text[at] = rng.bernoulli(0.5)
+                       ? static_cast<char>(rng.next_below(256))
+                       : flip_bytes[rng.next_below(flip_bytes.size())];
+      }
+      check(text);
+    }
+  }
+  check(std::string(100000, '['));
+  check(R"({"schema": "lagover.scenario.v1", "name": "x", "feed": )" +
+        std::string(300, '{'));
+  EXPECT_GE(inputs, 100000u);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(escaped, 0u) << first_escape;
+  RecordProperty("inputs", static_cast<int>(inputs));
+  RecordProperty("accepted", static_cast<int>(accepted));
 }
 
 TEST(ScenarioRunTest, OverloadTrialPopulatesCountersDeterministically) {
