@@ -92,7 +92,11 @@ double Json::as_number(double fallback) const noexcept {
 
 std::int64_t Json::as_int(std::int64_t fallback) const noexcept {
   if (kind_ == Kind::kInteger) return integer_value_;
-  if (kind_ == Kind::kNumber) return static_cast<std::int64_t>(number_value_);
+  // The cast is defined only inside [-2^63, 2^63); NaN fails both tests.
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (kind_ == Kind::kNumber && number_value_ >= -kLimit &&
+      number_value_ < kLimit)
+    return static_cast<std::int64_t>(number_value_);
   return fallback;
 }
 

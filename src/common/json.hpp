@@ -53,6 +53,8 @@ class Json {
   // crash, so inspector queries degrade gracefully on foreign input.
   bool as_bool(bool fallback = false) const noexcept;
   double as_number(double fallback = 0.0) const noexcept;
+  /// A non-integer number truncates toward zero; one outside
+  /// [-2^63, 2^63) yields the fallback.
   std::int64_t as_int(std::int64_t fallback = 0) const noexcept;
   const std::string& as_string() const noexcept;
 

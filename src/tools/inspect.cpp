@@ -22,7 +22,7 @@ double number_or(const Json& object, const char* key, double fallback) {
 std::int64_t int_or(const Json& object, const char* key,
                     std::int64_t fallback) {
   const Json* value = object.find(key);
-  return value == nullptr ? fallback : value->as_int();
+  return value == nullptr ? fallback : value->as_int(fallback);
 }
 
 std::string string_or(const Json& object, const char* key) {

@@ -448,6 +448,19 @@ bool check_rules(const Scenario& scenario, const Declared& declared,
     if (squeeze.start >= scenario.feed.duration)
       return fail(error, "scenario.overload.capacity.squeezes[].start must "
                          "fall before feed.duration");
+  // Each key is bounded, but a long span over a short period still asks
+  // for 2^40 events: bound every such ratio by kMaxCount as well.
+  const ScenarioFeed& feed = scenario.feed;
+  if (!(feed.duration / feed.publish_period <= kMaxCount))
+    return fail(error, "scenario.feed.duration / feed.publish_period must be "
+                       "at most 2^20");
+  if (!(feed.duration / feed.recovery_period <= kMaxCount))
+    return fail(error, "scenario.feed.duration / feed.recovery_period must "
+                       "be at most 2^20");
+  if (adversary.flapper_fraction > 0.0 &&
+      !(scenario.horizon / adversary.flap_period <= kMaxCount))
+    return fail(error, "scenario.horizon / adversary.flap_period must be at "
+                       "most 2^20");
   return true;
 }
 

@@ -33,7 +33,9 @@
 //     section declares something; and overload.capacity needs a feed
 //     section, whose phase (its own clock, from 0 to feed.duration) is
 //     capacity's only consumer, so every squeeze starts before
-//     feed.duration.
+//     feed.duration. No run asks for more than 2^20 events of one kind:
+//     feed.duration over publish_period and over recovery_period, and,
+//     with flappers, the horizon over flap_period, are each at most 2^20.
 //
 //   {
 //     "schema": "lagover.scenario.v1",

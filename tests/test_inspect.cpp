@@ -284,12 +284,20 @@ TEST(InspectJsonlTest, LoadsRawSpanStream) {
         << R"("span":"deliver","node":3,"parent":0,"hop":1,)"
         << R"("published_at":1.0,"start":1.0,"ts":2.0,"deadline":4.0})"
         << "\n";
+    // An item id no integer holds: it reads as the fallback, 0.
+    out << R"({"kind":"span","schema":"lagover.spans.v1","item":1e300,)"
+        << R"("span":"deliver","node":5,"parent":3,"hop":2,)"
+        << R"("published_at":1.0,"start":2.0,"ts":3.0,"deadline":4.0})"
+        << "\n";
   }
   tools::Bundle bundle;
   std::string error;
   ASSERT_TRUE(tools::load_bundle(file.path(), bundle, &error)) << error;
   EXPECT_FALSE(bundle.is_postmortem());
-  ASSERT_EQ(bundle.spans.size(), 2u);
+  ASSERT_EQ(bundle.spans.size(), 3u);
+  EXPECT_EQ(bundle.spans[2].item, 0u);
+  EXPECT_EQ(bundle.spans[2].node, 5u);
+  EXPECT_EQ(bundle.spans[2].parent, 3u);
   const auto result = tools::item_path(bundle, 1, 3);
   EXPECT_TRUE(result.complete) << result.note;
   EXPECT_EQ(result.hops.size(), 2u);

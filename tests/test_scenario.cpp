@@ -318,6 +318,16 @@ TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
       {R"("overload": {"join_storm": {"at": 1048577}})", "at"},
       {R"("overload": {"join_storm": {"at": 60, "fraction": -1e400}})",
        "fraction"},
+      // Keys in range whose ratios ask for more than 2^20 events.
+      {R"("feed": {"duration": 1048576,
+                   "publish_period": 9.5367431640625e-07})",
+       "publish_period"},
+      {R"("feed": {"duration": 1048576, "recovery": true,
+                   "recovery_period": 0.5})",
+       "recovery_period"},
+      {R"("horizon": 1048576,
+          "adversary": {"flapper_fraction": 0.1, "flap_period": 0.5})",
+       "flap_period"},
   };
   for (const auto& [fields, key] : cases) {
     const std::string doc =
@@ -327,7 +337,8 @@ TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
     EXPECT_NE(error.find(key), std::string::npos) << doc << "\n-> " << error;
   }
   // The bounds themselves are accepted: 2^20 = 1048576 and 2^-20 =
-  // 9.5367431640625e-07.
+  // 9.5367431640625e-07, the periods in a second document whose ratios
+  // sit at their own bound of 2^20.
   const Scenario edge = parse_ok(R"({
     "schema": "lagover.scenario.v1", "name": "edge", "seed": 0,
     "trials": 1, "horizon": 1048576,
@@ -340,8 +351,8 @@ TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
     "defense": {"probation_threshold": 1048576,
                 "quarantine_threshold": 1048576,
                 "blacklist_threshold": 1048576},
-    "feed": {"duration": 1048576, "recovery_period": 9.5367431640625e-07,
-             "publish_period": 9.5367431640625e-07},
+    "feed": {"duration": 1048576, "recovery_period": 1,
+             "publish_period": 1},
     "overload": {
       "admission": {"rate_limit": 9.5367431640625e-07, "window": 1048576,
                     "retry_after": 9.5367431640625e-07,
@@ -359,10 +370,19 @@ TEST(ScenarioParseTest, IntegerKeysTakeOnlyIntegersInRange) {
   EXPECT_DOUBLE_EQ(edge.horizon, two_pow_20);
   EXPECT_DOUBLE_EQ(edge.fault_plan.windows()[0].end, two_pow_20);
   EXPECT_DOUBLE_EQ(edge.feed.duration, two_pow_20);
-  EXPECT_DOUBLE_EQ(edge.feed.publish_period, 1.0 / two_pow_20);
   EXPECT_DOUBLE_EQ(edge.overload.admission.rate_limit, 1.0 / two_pow_20);
   EXPECT_EQ(edge.overload.capacity.relay_budget, 1048576u);
   EXPECT_DOUBLE_EQ(edge.overload.join_storm_at, two_pow_20);
+  const Scenario periods = parse_ok(R"({
+    "schema": "lagover.scenario.v1", "name": "periods", "horizon": 1,
+    "adversary": {"flapper_fraction": 0.1,
+                  "flap_period": 9.5367431640625e-07},
+    "feed": {"duration": 1, "recovery_period": 9.5367431640625e-07,
+             "publish_period": 9.5367431640625e-07}
+  })");
+  EXPECT_DOUBLE_EQ(periods.feed.publish_period, 1.0 / two_pow_20);
+  EXPECT_DOUBLE_EQ(periods.feed.recovery_period, 1.0 / two_pow_20);
+  EXPECT_DOUBLE_EQ(periods.adversary.flap_period, 1.0 / two_pow_20);
 }
 
 TEST(ScenarioParseTest, OverloadSectionRoundTrips) {
@@ -536,7 +556,8 @@ std::string replaced(const Json& node, std::size_t target,
 // of the ranges, every truncation, deep nesting, and byte flips. Each
 // input must come back from the parsers without a crash (the sanitizer
 // build runs this too), and an accepted one must keep every time value
-// the run loops on finite and within [0, 2^20].
+// the run loops on, and every span over the period that divides it,
+// finite and within [0, 2^20].
 TEST(ScenarioMutationTest, HostileDocumentsNeverCrashOrEscapeTheirRanges) {
   std::vector<std::string> seeds{kFullDocument};
   for (const std::string& path : example_scenarios()) {
@@ -572,6 +593,12 @@ TEST(ScenarioMutationTest, HostileDocumentsNeverCrashOrEscapeTheirRanges) {
         times.insert(times.end(), {window.start, window.end});
     for (const auto& squeeze : s.overload.capacity.squeezes)
       times.insert(times.end(), {squeeze.start, squeeze.end});
+    // So is each ratio of a span to the period that divides it.
+    std::vector<double> ratios{s.feed.duration / s.feed.publish_period,
+                               s.feed.duration / s.feed.recovery_period};
+    if (s.adversary.flapper_fraction > 0.0)
+      ratios.push_back(s.horizon / s.adversary.flap_period);
+    times.insert(times.end(), ratios.begin(), ratios.end());
     for (const double t : times)
       if (!(t >= 0.0 && t <= 1048576.0)) {
         if (escaped++ == 0) first_escape = text;
