@@ -73,7 +73,7 @@ void BM_OracleSample(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(oracle->sample(1, overlay, rng));
 }
-BENCHMARK(BM_OracleSample)->Arg(120)->Arg(960);
+BENCHMARK(BM_OracleSample)->Arg(120)->Arg(960)->Arg(16000);
 
 void BM_EngineRound(benchmark::State& state) {
   EngineConfig config;

@@ -9,6 +9,11 @@
 // (falling back to the unrestricted sample when none qualifies). The
 // result is a LagOver whose edges mostly stay inside a locality, which
 // the cross-edge metric quantifies.
+//
+// It stays a scan over the membership: the overlay's candidate index
+// segments nodes by delay level and free fanout only, and a locality
+// label cuts across every segment, so the restricted filter maps to no
+// union of them.
 #pragma once
 
 #include <cstdint>

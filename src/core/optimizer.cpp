@@ -42,6 +42,8 @@ OptimizeReport optimize_shallow_capacity(Overlay& overlay,
     for (NodeId leaf = 1; leaf < overlay.node_count(); ++leaf) {
       if (!overlay.online(leaf) || !overlay.children(leaf).empty()) continue;
       if (!overlay.has_parent(leaf) || !overlay.connected(leaf)) continue;
+      // A leaf with fanout would carry its own open slots down with it.
+      if (overlay.free_fanout(leaf) > 0) continue;
       const Delay current = overlay.delay_at(leaf);
       const Delay budget = overlay.latency_of(leaf);
       if (current >= budget) continue;  // already as deep as allowed

@@ -150,9 +150,10 @@ bool ByzantineOracle::eligible_claimed(NodeId querier, NodeId candidate,
 std::optional<NodeId> ByzantineOracle::sample_impl(NodeId querier,
                                                    const Overlay& overlay,
                                                    Rng& rng) {
-  // Reservoir-of-one over claim-eligible candidates: the exact sampling
-  // discipline of DirectoryOracle, so an all-honest book draws the same
-  // RNG sequence and returns the same partners.
+  // Reservoir-of-one over claim-eligible candidates. Claims are per
+  // node, so no segment of the overlay's candidate index holds them:
+  // this stays a scan (see the class comment), and its RNG sequence is
+  // not DirectoryOracle's even for an all-honest book.
   std::optional<NodeId> chosen;
   std::uint64_t seen = 0;
   for (NodeId id = 1; id < overlay.node_count(); ++id) {

@@ -124,6 +124,13 @@ class AdversaryBook {
 ///     it is skipped and reported to the suspicion book. Colluding
 ///     liar *chains* evade this check (each link is self-consistent);
 ///     they are caught by child-side delay verification instead.
+///
+/// It stays a scan over the membership, not a draw from the overlay's
+/// candidate index as DirectoryOracle is: the index files each node
+/// under its true delay and free fanout, while each liar claims its own
+/// values, and the barred set and the plausibility filter change with
+/// the suspicion book. It keeps a reservoir-of-one, one RNG draw per
+/// candidate that passes its claim filter.
 class ByzantineOracle final : public Oracle {
  public:
   ByzantineOracle(OracleKind kind, std::shared_ptr<const AdversaryBook> book);

@@ -25,4 +25,12 @@ ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& values,
                                      double confidence, int resamples,
                                      Rng& rng);
 
+/// Two-sample percentile-bootstrap CI for median(a) - median(b), each
+/// sample resampled on its own: an interval holding 0 means the two
+/// medians are indistinguishable at that confidence.
+ConfidenceInterval bootstrap_median_difference_ci(const std::vector<double>& a,
+                                                  const std::vector<double>& b,
+                                                  double confidence,
+                                                  int resamples, Rng& rng);
+
 }  // namespace lagover

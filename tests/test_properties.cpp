@@ -6,8 +6,10 @@
 // asynchronous engine agrees with the synchronous one on convergability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/async_engine.hpp"
@@ -18,6 +20,8 @@
 #include "core/validator.hpp"
 #include "feed/dissemination.hpp"
 #include "metrics/tree_metrics.hpp"
+#include "scan_oracle.hpp"
+#include "workload/churn.hpp"
 #include "workload/constraints.hpp"
 
 namespace lagover {
@@ -189,9 +193,35 @@ void expect_index_matches_walk(const Overlay& overlay, Rng& rng,
   }
 }
 
-// Seeded random attach / detach / offline / online sequences, with the
-// overlay copied and assigned partway through: after every operation
-// the index equals the chain-walk references.
+// The Oracle's candidate index against the scan it replaced: for every
+// kind and a few random queriers (the source and offline nodes among
+// them), the index offers each node DirectoryOracle::eligible admits,
+// once, and nothing else.
+void expect_candidates_match_scan(const Overlay& overlay, Rng& rng,
+                                  const std::string& where) {
+  for (const OracleKind kind :
+       {OracleKind::kRandom, OracleKind::kRandomCapacity,
+        OracleKind::kRandomDelayCapacity, OracleKind::kRandomDelay}) {
+    for (int k = 0; k < 4; ++k) {
+      const auto querier =
+          static_cast<NodeId>(rng.next_below(overlay.node_count()));
+      const DirectoryOracle::Candidates offered =
+          DirectoryOracle::candidates(kind, querier, overlay);
+      std::vector<NodeId> indexed;
+      for (std::size_t i = 0; i < offered.size; ++i)
+        indexed.push_back(offered[i]);
+      std::sort(indexed.begin(), indexed.end());
+      ASSERT_EQ(indexed, reference::eligible_scan(kind, querier, overlay))
+          << where << " " << paper_label(kind) << " querier " << querier;
+    }
+  }
+}
+
+// Seeded random attach / detach / offline / online sequences, batched
+// churn (BernoulliChurn's leaves and joins) and crashes
+// (MassFailureChurn's correlated leaves), with the overlay copied and
+// assigned partway through: after every operation the index equals the
+// chain-walk references and the Oracle's candidates equal the scan's.
 TEST_P(PipelineProperty, IndexMatchesChainWalkUnderRandomOperations) {
   Rng rng(GetParam().seed);
   Overlay overlay(population());
@@ -199,8 +229,15 @@ TEST_P(PipelineProperty, IndexMatchesChainWalkUnderRandomOperations) {
   const auto consumer = [&] {
     return static_cast<NodeId>(1 + rng.next_below(n - 1));
   };
+  const auto apply = [&](const ChurnModel::Decision& decision) {
+    for (const NodeId id : decision.leave) overlay.set_offline(id);
+    for (const NodeId id : decision.join) overlay.set_online(id);
+    return std::to_string(decision.leave.size()) + " leave, " +
+           std::to_string(decision.join.size()) + " join";
+  };
   for (int step = 0; step < 400; ++step) {
-    const std::uint64_t kind = rng.next_below(10);
+    const auto round = static_cast<Round>(step);
+    const std::uint64_t kind = rng.next_below(12);
     std::string op;
     if (kind < 5) {  // attach the first of 20 random pairs allowed to
       for (int tries = 0; tries < 20; ++tries) {
@@ -229,17 +266,26 @@ TEST_P(PipelineProperty, IndexMatchesChainWalkUnderRandomOperations) {
       const NodeId id = consumer();
       overlay.set_online(id);
       op = "online " + std::to_string(id);
-    } else {  // carry on from a copy, assigned over a fresh overlay
+    } else if (kind == 9) {
+      // Carry on from a copy, assigned over a fresh overlay.
       const Overlay copy(overlay);
       overlay = Overlay(population());
       overlay = copy;
       op = "copy";
+    } else if (kind == 10) {
+      BernoulliChurn churn(0.1, 0.3);
+      op = "churn: " + apply(churn.decide(round, overlay, rng));
+    } else {
+      MassFailureChurn crash(round, 0.2);
+      op = "crash: " + apply(crash.decide(round, overlay, rng));
     }
     const std::string where = "step " + std::to_string(step) + " (" + op + ")";
     expect_index_matches_walk(overlay, rng, where);
     if (HasFatalFailure()) return;
+    expect_candidates_match_scan(overlay, rng, where);
+    if (HasFatalFailure()) return;
+    overlay.audit();
   }
-  overlay.audit();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, PipelineProperty,

@@ -173,6 +173,23 @@ TEST(BootstrapTest, MedianCiCoversPointEstimate) {
   EXPECT_NEAR(ci.point, 10.5, 1e-12);
 }
 
+TEST(BootstrapTest, MedianDifferenceCiSeparatesShiftedSamples) {
+  Rng rng(13);
+  const std::vector<double> a{10, 12, 9, 11, 10, 13, 10, 9, 11, 12};
+  std::vector<double> shifted = a;
+  for (double& x : shifted) x += 100.0;
+  const auto same = bootstrap_median_difference_ci(a, a, 0.99, 2000, rng);
+  EXPECT_DOUBLE_EQ(same.point, 0.0);
+  EXPECT_LE(same.lower, 0.0);
+  EXPECT_GE(same.upper, 0.0);
+  const auto apart =
+      bootstrap_median_difference_ci(shifted, a, 0.99, 2000, rng);
+  EXPECT_DOUBLE_EQ(apart.point, 100.0);
+  EXPECT_GT(apart.lower, 0.0);
+  EXPECT_LE(apart.lower, apart.point);
+  EXPECT_GE(apart.upper, apart.point);
+}
+
 TEST(BootstrapTest, MeanCiNarrowsWithTightData) {
   Rng rng(12);
   std::vector<double> tight(50, 5.0);
