@@ -87,12 +87,12 @@ int run(int argc, char** argv) {
   bench::print_table("flash-crowd absorption vs shallow capacity", table,
                      options, "flash_crowd");
   std::cout << "\nshape: absorption is fast (a handful of rounds) and "
-               "scales mildly with crowd size. Negative result worth "
-               "recording: the slack optimizer does free shallow slots "
-               "but does NOT speed absorption — the construction "
-               "algorithms' orphaning-displacement move already reclaims "
-               "shallow capacity on demand, so pre-freeing it buys "
-               "nothing.\n";
+               "scales mildly with crowd size. The slack optimizer sinks "
+               "only leaves without fanout, and every BiUnCorr consumer "
+               "has fanout, so both rows of a crowd size match: the "
+               "construction algorithms' orphaning-displacement move "
+               "reclaims shallow capacity on demand, and pre-freeing it "
+               "is not what speeds absorption.\n";
   json.add_table("flash_crowd", table);
   json.add_scalar("worst_median_absorption_rounds", worst_absorption);
   telemetry.finish(json);
