@@ -20,7 +20,7 @@ void PhiAccrualDetector::resize(std::size_t node_count, PhiConfig config) {
   LAGOVER_EXPECTS(config.min_samples >= 2);
   config_ = config;
   links_.assign(node_count, Link{});
-  for (auto& link : links_) link.intervals.assign(config_.window, 0.0);
+  intervals_.clear();
 }
 
 void PhiAccrualDetector::heartbeat(NodeId link, double now) {
@@ -29,15 +29,18 @@ void PhiAccrualDetector::heartbeat(NodeId link, double now) {
   if (state.last_heartbeat >= 0.0) {
     const double interval = now - state.last_heartbeat;
     if (interval > 0.0) {
-      if (state.count == state.intervals.size()) {
-        const double evicted = state.intervals[state.next];
+      if (intervals_.empty())
+        intervals_.assign(links_.size() * config_.window, 0.0);
+      double* window = intervals_.data() + link * config_.window;
+      if (state.count == config_.window) {
+        const double evicted = window[state.next];
         state.sum -= evicted;
         state.sum_sq -= evicted * evicted;
       } else {
         ++state.count;
       }
-      state.intervals[state.next] = interval;
-      state.next = (state.next + 1) % state.intervals.size();
+      window[state.next] = interval;
+      state.next = (state.next + 1) % config_.window;
       state.sum += interval;
       state.sum_sq += interval * interval;
     }

@@ -78,9 +78,8 @@ class PhiAccrualDetector {
 
  private:
   struct Link {
-    std::vector<double> intervals;  ///< ring buffer of size config.window
-    std::size_t next = 0;           ///< ring write position
-    std::size_t count = 0;          ///< valid entries (<= window)
+    std::size_t next = 0;   ///< ring write position
+    std::size_t count = 0;  ///< valid entries (<= window)
     double last_heartbeat = -1.0;
     double sum = 0.0;
     double sum_sq = 0.0;
@@ -88,6 +87,10 @@ class PhiAccrualDetector {
 
   PhiConfig config_;
   std::vector<Link> links_;
+  /// Every link's ring buffer of config.window intervals, link after
+  /// link, allocated when the first interval arrives: heartbeats are
+  /// recorded only under a fault layer, so most runs never need it.
+  std::vector<double> intervals_;
 };
 
 }  // namespace lagover::health
