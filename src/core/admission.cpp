@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <utility>
 
 #include "telemetry/metrics.hpp"
 
@@ -98,55 +97,6 @@ AdmissionController::Verdict AdmissionController::on_query(double now) {
   ++admitted_;
   TELEM_COUNT("oracle.admission_admitted", 1);
   return Verdict::kAdmit;
-}
-
-AdmittedOracle::AdmittedOracle(std::unique_ptr<Oracle> inner,
-                               std::shared_ptr<AdmissionController> control,
-                               std::function<SimTime()> clock)
-    : inner_(std::move(inner)),
-      control_(std::move(control)),
-      clock_(std::move(clock)) {
-  stale_cache_.reserve(kStaleCacheSize);
-}
-
-void AdmittedOracle::remember(NodeId partner) {
-  for (std::size_t i = 0; i < stale_cache_.size(); ++i) {
-    if (stale_cache_[i] != partner) continue;
-    stale_cache_.erase(stale_cache_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-    break;
-  }
-  stale_cache_.insert(stale_cache_.begin(), partner);
-  if (stale_cache_.size() > kStaleCacheSize) stale_cache_.pop_back();
-}
-
-std::optional<NodeId> AdmittedOracle::sample_impl(NodeId querier,
-                                                  const Overlay& overlay,
-                                                  Rng& rng) {
-  const AdmissionController::Verdict verdict =
-      control_->on_query(static_cast<double>(clock_()));
-  if (verdict == AdmissionController::Verdict::kAdmit) {
-    auto result = inner_->sample(querier, overlay, rng);
-    if (result.has_value()) remember(*result);
-    return result;
-  }
-  if (verdict == AdmissionController::Verdict::kStale) {
-    // Degraded service: the freshest cached partner that is still a
-    // plausible answer for this querier under the live overlay. No
-    // Oracle work, no RNG — deterministic and cheap by design.
-    for (NodeId candidate : stale_cache_) {
-      if (candidate == querier) continue;
-      if (!DirectoryOracle::eligible(kind(), querier, candidate, overlay))
-        continue;
-      ++stale_served_;
-      TELEM_COUNT("oracle.stale_served", 1);
-      return candidate;
-    }
-    // Nothing in the cache qualifies: fall through to a rejection so
-    // the querier backs off instead of spinning on empty answers.
-  }
-  rejection_pending_ = true;
-  return std::nullopt;
 }
 
 }  // namespace lagover

@@ -21,20 +21,14 @@
 // orphans spreads out instead of synchronously stampeding the Oracle —
 // and, via the timeout path, the source.
 //
-// An AdmissionConfig with no rate limit is "empty" and is normalized
-// away by the engines: no wrapper installs, no RNG-stream change, runs
+// The runtime's Oracle query step (core/node_runtime.hpp) asks the
+// controller for a verdict and carries it out: it keeps the stale cache
+// and counts the stale-served answers. An AdmissionConfig with no rate
+// limit is "empty": no controller is built, no RNG-stream change, runs
 // stay byte-identical to an admission-free engine.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
-#include <vector>
-
-#include "core/oracle.hpp"
-#include "core/overlay.hpp"
-#include "sim/simulator.hpp"
 
 namespace lagover {
 
@@ -117,54 +111,6 @@ class AdmissionController {
   std::uint64_t stale_verdicts_ = 0;
   std::uint64_t breaker_trips_ = 0;
   std::uint64_t breaker_closes_ = 0;
-};
-
-/// Oracle decorator enforcing admission control at the service edge.
-/// Admitted queries pass through to the inner Oracle (whose answers
-/// refresh the stale cache); over-budget queries are served from the
-/// cache of recently returned partners — a stale but plausible sample,
-/// re-checked against the live overlay — and rejected queries return
-/// empty with a pending-rejection flag the engines consume to drive
-/// their backoff. The stale/reject paths draw no RNG.
-class AdmittedOracle final : public Oracle {
- public:
-  /// `clock` supplies the current engine time (sim.now() async, the
-  /// round number for the synchronous engine).
-  AdmittedOracle(std::unique_ptr<Oracle> inner,
-                 std::shared_ptr<AdmissionController> control,
-                 std::function<SimTime()> clock);
-
-  OracleKind kind() const noexcept override { return inner_->kind(); }
-  const Oracle& inner() const noexcept { return *inner_; }
-  const AdmissionController& control() const noexcept { return *control_; }
-
-  /// True when the most recent sample was rejected (not merely empty);
-  /// reading clears the flag. Engines call this right after an orphan
-  /// step to decide between normal retry and admission backoff.
-  bool consume_rejection() noexcept {
-    const bool rejected = rejection_pending_;
-    rejection_pending_ = false;
-    return rejected;
-  }
-
-  std::uint64_t stale_served() const noexcept { return stale_served_; }
-
- protected:
-  std::optional<NodeId> sample_impl(NodeId querier, const Overlay& overlay,
-                                    Rng& rng) override;
-
- private:
-  void remember(NodeId partner);
-
-  /// Recently returned partners kept for stale serving.
-  static constexpr std::size_t kStaleCacheSize = 8;
-
-  std::unique_ptr<Oracle> inner_;
-  std::shared_ptr<AdmissionController> control_;
-  std::function<SimTime()> clock_;
-  std::vector<NodeId> stale_cache_;  ///< most recent first
-  bool rejection_pending_ = false;
-  std::uint64_t stale_served_ = 0;
 };
 
 }  // namespace lagover

@@ -262,8 +262,7 @@ LiveReport run_live_dissemination(const Population& population,
     report.oracle_rejected = control->rejected();
     report.oracle_breaker_trips = control->breaker_trips();
   }
-  if (const AdmittedOracle* oracle = engine.runtime().admitted_oracle())
-    report.oracle_stale_served = oracle->stale_served();
+  report.oracle_stale_served = engine.runtime().stale_served();
   report.audit_violations = engine.audit_violations();
   return report;
 }

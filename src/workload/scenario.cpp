@@ -576,8 +576,7 @@ void collect_overload_counters(const NodeRuntime& runtime,
     result.oracle_rejected = control->rejected();
     result.oracle_breaker_trips = control->breaker_trips();
   }
-  if (const AdmittedOracle* oracle = runtime.admitted_oracle())
-    result.oracle_stale_served = oracle->stale_served();
+  result.oracle_stale_served = runtime.stale_served();
   result.starvation_detaches = runtime.starvation_detaches();
 }
 

@@ -1,7 +1,8 @@
 // Oracle admission-control tests: the windowed rate limiter's verdicts,
-// the circuit breaker's trip / half-open / close hysteresis, the
-// AdmittedOracle's stale-cache serving and rejection signalling, and
-// that an empty AdmissionConfig installs nothing. The engine-level
+// the circuit breaker's trip / half-open / close hysteresis, how the
+// runtime's Oracle query step carries the verdicts out (stale-cache
+// serving, rejection signalling), and that an empty AdmissionConfig
+// builds nothing. The engine-level
 // guarantees (a permissive config is byte-identical, a tight one
 // actually rations the Oracle) run on both schedulers in
 // test_conformance.
@@ -13,6 +14,7 @@
 #include "common/rng.hpp"
 #include "core/admission.hpp"
 #include "core/engine.hpp"
+#include "core/node_runtime.hpp"
 #include "workload/constraints.hpp"
 
 namespace lagover {
@@ -116,63 +118,104 @@ Population small_population(std::size_t peers, std::uint64_t seed) {
   return generate_workload(WorkloadKind::kBiUnCorr, params);
 }
 
-TEST(AdmittedOracleTest, ServesStaleFromCacheWithoutRng) {
-  const Population population = small_population(10, 3);
-  Overlay overlay(population);
-  double now = 0.0;
-  auto control = std::make_shared<AdmissionController>(
-      tight(1.0, /*serve_stale=*/true));
-  AdmittedOracle oracle(make_oracle(OracleKind::kRandom), control,
-                        [&now] { return now; });
+/// Oracle answering a scripted partner (kNoNode = nothing) and counting
+/// the queries that reach it.
+class ScriptedOracle final : public Oracle {
+ public:
+  OracleKind kind() const noexcept override { return OracleKind::kRandom; }
+
+  NodeId answer = 2;
+  int calls = 0;
+
+ protected:
+  std::optional<NodeId> sample_impl(NodeId, const Overlay&, Rng&) override {
+    ++calls;
+    if (answer == kNoNode) return std::nullopt;
+    return answer;
+  }
+};
+
+/// A runtime over small_population(10, 3) whose Oracle is the
+/// configured kRandom DirectoryOracle, with admission `admission`.
+struct AdmissionHarness {
+  explicit AdmissionHarness(const AdmissionConfig& admission)
+      : config(make_config(admission)),
+        runtime(small_population(10, 3), config, /*timeout_limit=*/10) {}
+
+  static RuntimeConfig make_config(const AdmissionConfig& admission) {
+    RuntimeConfig config;
+    config.oracle = OracleKind::kRandom;
+    config.admission = admission;
+    return config;
+  }
+
+  /// Installs a ScriptedOracle in place of the DirectoryOracle.
+  ScriptedOracle& script() {
+    auto oracle = std::make_unique<ScriptedOracle>();
+    ScriptedOracle& view = *oracle;
+    runtime.set_oracle(std::move(oracle));
+    return view;
+  }
+
+  RuntimeConfig config;
+  NodeRuntime runtime;
+};
+
+TEST(AdmissionStepTest, ServesStaleFromCacheWithoutTheOracle) {
+  AdmissionHarness h(tight(1.0, /*serve_stale=*/true));
+  ScriptedOracle& oracle = h.script();
   Rng rng(5);
-  const auto fresh = oracle.sample(1, overlay, rng);
-  ASSERT_TRUE(fresh.has_value());
+  const StepOutcome fresh = h.runtime.orphan_step(1, rng);
+  ASSERT_EQ(fresh.partner, 2u);
   // Over budget in the same window: the cached partner serves and the
-  // inner Oracle is not consulted (the RNG claim is checked separately
-  // in StaleVerdictDrawsNoRng). The querier must differ from the cached
-  // partner — a node is never a plausible answer to itself.
-  const NodeId stale_querier = *fresh == 2 ? 3 : 2;
-  const auto stale = oracle.sample(stale_querier, overlay, rng);
-  ASSERT_TRUE(stale.has_value());
-  EXPECT_EQ(*stale, *fresh);
-  EXPECT_EQ(oracle.stale_served(), 1u);
+  // Oracle is not consulted. The querier must differ from the cached
+  // partner: a node is never a plausible answer to itself.
+  const StepOutcome stale = h.runtime.orphan_step(3, rng);
+  EXPECT_EQ(stale.partner, 2u);
+  EXPECT_FALSE(stale.rejected);
+  EXPECT_EQ(oracle.calls, 1);
+  EXPECT_EQ(h.runtime.oracle().stats().queries, 1u);
+  EXPECT_EQ(h.runtime.stale_served(), 1u);
+  EXPECT_EQ(h.runtime.admission()->stale_verdicts(), 1u);
 }
 
-TEST(AdmittedOracleTest, StaleVerdictDrawsNoRng) {
-  const Population population = small_population(10, 3);
-  Overlay overlay(population);
-  double now = 0.0;
-  auto control = std::make_shared<AdmissionController>(
-      tight(1.0, /*serve_stale=*/true));
-  AdmittedOracle oracle(make_oracle(OracleKind::kRandom), control,
-                        [&now] { return now; });
-  Rng rng_a(5);
-  Rng rng_b(5);
-  (void)oracle.sample(1, overlay, rng_a);  // admitted — draws
-  (void)oracle.sample(2, overlay, rng_a);  // stale — must not draw
-  // A twin stream that only performs the admitted draw stays in sync.
-  AdmittedOracle twin(make_oracle(OracleKind::kRandom),
-                      std::make_shared<AdmissionController>(
-                          tight(1.0, /*serve_stale=*/true)),
-                      [&now] { return now; });
-  (void)twin.sample(1, overlay, rng_b);
-  EXPECT_EQ(rng_a(), rng_b());
-}
-
-TEST(AdmittedOracleTest, RejectionSetsPendingFlagOnce) {
-  const Population population = small_population(10, 3);
-  Overlay overlay(population);
-  double now = 0.0;
-  auto control = std::make_shared<AdmissionController>(
-      tight(1.0, /*serve_stale=*/false));
-  AdmittedOracle oracle(make_oracle(OracleKind::kRandom), control,
-                        [&now] { return now; });
+TEST(AdmissionStepTest, StaleVerdictDrawsNoRng) {
+  AdmissionHarness h(tight(1.0, /*serve_stale=*/true));
   Rng rng(5);
-  EXPECT_TRUE(oracle.sample(1, overlay, rng).has_value());
-  EXPECT_FALSE(oracle.consume_rejection());
-  EXPECT_FALSE(oracle.sample(2, overlay, rng).has_value());
-  EXPECT_TRUE(oracle.consume_rejection());
-  EXPECT_FALSE(oracle.consume_rejection());  // reading clears it
+  const StepOutcome fresh = h.runtime.orphan_step(1, rng);  // draws
+  ASSERT_NE(fresh.partner, kNoNode);
+  // Neither 1 nor the partner: still parentless, and served the partner.
+  const NodeId stale_querier = fresh.partner == 2 ? 3 : 2;
+  Rng twin = rng;
+  const StepOutcome stale = h.runtime.orphan_step(stale_querier, rng);
+  EXPECT_EQ(stale.partner, fresh.partner);
+  EXPECT_EQ(h.runtime.stale_served(), 1u);
+  // The stale step left the stream where the admitted draw put it.
+  EXPECT_EQ(rng(), twin());
+}
+
+TEST(AdmissionStepTest, RejectionNotEmptinessDrivesBackoff) {
+  AdmissionHarness h(tight(1.0, /*serve_stale=*/false));
+  ScriptedOracle& oracle = h.script();
+  Rng rng(5);
+  const StepOutcome admitted = h.runtime.orphan_step(1, rng);
+  EXPECT_EQ(admitted.partner, 2u);
+  EXPECT_FALSE(admitted.rejected);
+  // Over budget without stale serving: a rejection, which the engines
+  // answer with their admission backoff.
+  const StepOutcome rejected = h.runtime.orphan_step(3, rng);
+  EXPECT_EQ(rejected.partner, kNoNode);
+  EXPECT_TRUE(rejected.rejected);
+  EXPECT_EQ(oracle.calls, 1);
+  EXPECT_EQ(h.runtime.admission()->rejected(), 1u);
+  // A fresh window admits again; an empty answer there is plain
+  // starvation, which backs nobody off.
+  oracle.answer = kNoNode;
+  h.runtime.advance_to(1.0);
+  const StepOutcome empty = h.runtime.orphan_step(3, rng);
+  EXPECT_EQ(empty.partner, kNoNode);
+  EXPECT_FALSE(empty.rejected);
+  EXPECT_EQ(oracle.calls, 2);
 }
 
 TEST(EngineAdmissionTest, EmptyConfigInstallsNothing) {
@@ -180,7 +223,18 @@ TEST(EngineAdmissionTest, EmptyConfigInstallsNothing) {
   config.seed = 7;
   Engine engine(small_population(30, 7), config);
   EXPECT_EQ(engine.runtime().admission(), nullptr);
-  EXPECT_EQ(engine.runtime().admitted_oracle(), nullptr);
+  EXPECT_EQ(engine.runtime().stale_served(), 0u);
+}
+
+TEST(EngineAdmissionTest, AdmissionKeepsTheConfiguredOracle) {
+  EngineConfig config;
+  config.seed = 7;
+  config.admission = tight();
+  Engine engine(small_population(30, 7), config);
+  EXPECT_NE(engine.runtime().admission(), nullptr);
+  // Admission decides in the runtime's query step: the Oracle is the
+  // configured DirectoryOracle itself, not a wrapper around it.
+  EXPECT_NE(dynamic_cast<const DirectoryOracle*>(&engine.oracle()), nullptr);
 }
 
 }  // namespace

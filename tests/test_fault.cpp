@@ -1,9 +1,9 @@
 // Unit tests for the chaos layer: FaultPlan window algebra, the
 // FaultInjector's message/partition/crash decisions, the Network fault
-// filter (drop / latency spike / duplicate), the FaultyOracle decorator
-// (outage + stale views), and the NodeRuntime failure paths (lost
-// interactions, lost source contacts, the partner-cache fallback during
-// Oracle outages), driven through fault plans.
+// filter (drop / latency spike / duplicate), and the NodeRuntime failure
+// paths (Oracle outages and stale views, lost interactions, lost source
+// contacts, the partner-cache fallback during Oracle outages), driven
+// through fault plans.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,7 +14,6 @@
 #include "core/validator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "fault/faulty_oracle.hpp"
 #include "net/network.hpp"
 #include "workload/constraints.hpp"
 
@@ -202,80 +201,6 @@ Population small_population() {
   return p;
 }
 
-TEST(FaultyOracleTest, OutageWindowAnswersEmpty) {
-  Overlay overlay(small_population());
-  auto faults = std::make_shared<FaultInjector>(
-      FaultPlan{}.add(FaultPlan::oracle_outage(10.0, 20.0)));
-  double now = 0.0;
-  fault::FaultyOracle oracle(make_oracle(OracleKind::kRandom), faults,
-                             [&now] { return now; });
-  Rng rng(5);
-  now = 15.0;
-  for (int i = 0; i < 20; ++i)
-    EXPECT_FALSE(oracle.sample(1, overlay, rng).has_value());
-  EXPECT_EQ(faults->stats().oracle_outage_queries, 20u);
-  now = 25.0;
-  EXPECT_TRUE(oracle.sample(1, overlay, rng).has_value());
-}
-
-TEST(FaultyOracleTest, StaleViewServesDepartedNodes) {
-  Overlay overlay(small_population());
-  auto faults = std::make_shared<FaultInjector>(
-      FaultPlan{}.add(FaultPlan::oracle_staleness(0.0, 100.0, /*age=*/50.0)));
-  double now = 1.0;
-  fault::FaultyOracle oracle(make_oracle(OracleKind::kRandom), faults,
-                             [&now] { return now; });
-  Rng rng(5);
-  // First query snapshots the all-online overlay.
-  ASSERT_TRUE(oracle.sample(1, overlay, rng).has_value());
-  // Everyone except the querier leaves; a live oracle would now starve,
-  // but the stale view still hands out the departed nodes.
-  overlay.set_offline(2);
-  overlay.set_offline(3);
-  now = 10.0;  // snapshot age 9 < 50: still served
-  int stale_hits = 0;
-  for (int i = 0; i < 20; ++i) {
-    const auto sampled = oracle.sample(1, overlay, rng);
-    ASSERT_TRUE(sampled.has_value());
-    if (!overlay.online(*sampled)) ++stale_hits;
-  }
-  EXPECT_GT(stale_hits, 0);
-  EXPECT_EQ(faults->stats().stale_oracle_refreshes, 1u);
-}
-
-TEST(FaultyOracleTest, SnapshotRefreshesOnceAgeExceeded) {
-  Overlay overlay(small_population());
-  auto faults = std::make_shared<FaultInjector>(
-      FaultPlan{}.add(FaultPlan::oracle_staleness(0.0, 1000.0, /*age=*/5.0)));
-  double now = 0.0;
-  fault::FaultyOracle oracle(make_oracle(OracleKind::kRandom), faults,
-                             [&now] { return now; });
-  Rng rng(5);
-  ASSERT_TRUE(oracle.sample(1, overlay, rng).has_value());
-  overlay.set_offline(2);
-  overlay.set_offline(3);
-  now = 20.0;  // snapshot aged out: refreshed against the emptied overlay
-  EXPECT_FALSE(oracle.sample(1, overlay, rng).has_value());
-  EXPECT_EQ(faults->stats().stale_oracle_refreshes, 2u);
-}
-
-TEST(FaultyOracleTest, MaybeWrapOnlyWrapsWhenPlanHasOracleFaults) {
-  auto no_oracle_faults = std::make_shared<FaultInjector>(
-      FaultPlan{}.add(FaultPlan::drop(0.0, 10.0, 0.5)));
-  auto inner = make_oracle(OracleKind::kRandomDelay);
-  Oracle* inner_ptr = inner.get();
-  auto unwrapped = fault::maybe_wrap_oracle(std::move(inner), no_oracle_faults,
-                                            [] { return 0.0; });
-  EXPECT_EQ(unwrapped.get(), inner_ptr);
-
-  auto with_outage = std::make_shared<FaultInjector>(
-      FaultPlan{}.add(FaultPlan::oracle_outage(0.0, 10.0)));
-  auto wrapped = fault::maybe_wrap_oracle(
-      make_oracle(OracleKind::kRandomDelay), with_outage, [] { return 0.0; });
-  EXPECT_NE(dynamic_cast<fault::FaultyOracle*>(wrapped.get()), nullptr);
-  EXPECT_EQ(wrapped->kind(), OracleKind::kRandomDelay);
-}
-
 /// Oracle returning a fixed partner, for scripting core failure paths.
 class FixedOracle final : public Oracle {
  public:
@@ -284,12 +209,14 @@ class FixedOracle final : public Oracle {
 
  protected:
   std::optional<NodeId> sample_impl(NodeId, const Overlay&, Rng&) override {
+    ++calls;
     if (answer_ == kNoNode) return std::nullopt;
     return answer_;
   }
 
  public:
   NodeId answer_;
+  int calls = 0;
 };
 
 /// A greedy runtime over small_population() under `plan` whose Oracle is
@@ -315,9 +242,83 @@ struct FaultHarness {
 
   RuntimeConfig config;
   NodeRuntime runtime;
-  FixedOracle* oracle = nullptr;  ///< owned by the runtime's Oracle stack
+  FixedOracle* oracle = nullptr;  ///< owned by the runtime
   std::vector<TraceEvent> events;
 };
+
+TEST(OracleFaultTest, OutageWindowAnswersEmpty) {
+  FaultHarness h(/*timeout_limit=*/100,
+                 FaultPlan{}.add(FaultPlan::oracle_outage(10.0, 20.0)));
+  Rng rng(5);
+  h.runtime.advance_to(15.0);
+  for (int i = 0; i < 20; ++i)
+    EXPECT_EQ(h.runtime.orphan_step(1, rng).partner, kNoNode);
+  // Each dark query is decided, and counted, once; none reaches the
+  // Oracle.
+  EXPECT_EQ(h.config.faults->stats().oracle_outage_queries, 20u);
+  EXPECT_EQ(h.oracle->calls, 0);
+  ASSERT_EQ(h.events.size(), 20u);
+  EXPECT_EQ(h.events.back().type, TraceEventType::kOracleEmpty);
+  h.runtime.advance_to(25.0);
+  EXPECT_EQ(h.runtime.orphan_step(1, rng).partner, 2u);
+  EXPECT_EQ(h.oracle->calls, 1);
+  EXPECT_EQ(h.runtime.oracle().stats().queries, 1u);
+}
+
+/// A greedy runtime over small_population() whose own kRandom Oracle
+/// answers under `plan`; nodes time out only after 100 steps.
+struct StaleHarness {
+  explicit StaleHarness(const FaultPlan& plan)
+      : config(make_config(plan)),
+        runtime(small_population(), config, /*timeout_limit=*/100) {}
+
+  static RuntimeConfig make_config(const FaultPlan& plan) {
+    RuntimeConfig config = FaultHarness::make_config(plan);
+    config.oracle = OracleKind::kRandom;
+    return config;
+  }
+
+  /// Node 1 queries once, which snapshots the all-online overlay; then
+  /// nodes 2 and 3 leave, so node 1 is parentless and alone.
+  void snapshot_then_empty(Rng& rng) {
+    ASSERT_NE(runtime.orphan_step(1, rng).partner, kNoNode);
+    runtime.leave(2);
+    runtime.leave(3);
+    ASSERT_FALSE(runtime.overlay().has_parent(1));
+  }
+
+  RuntimeConfig config;
+  NodeRuntime runtime;
+};
+
+TEST(OracleFaultTest, StaleViewServesDepartedNodes) {
+  StaleHarness h(
+      FaultPlan{}.add(FaultPlan::oracle_staleness(0.0, 100.0, /*age=*/50.0)));
+  Rng rng(5);
+  h.runtime.advance_to(1.0);
+  h.snapshot_then_empty(rng);
+  // A live Oracle would now starve node 1, but the stale view still
+  // hands out the departed nodes, and each contact fails.
+  h.runtime.advance_to(10.0);  // snapshot age 9 < 50: still served
+  for (int i = 0; i < 20; ++i) {
+    const StepOutcome outcome = h.runtime.orphan_step(1, rng);
+    ASSERT_NE(outcome.partner, kNoNode);
+    EXPECT_FALSE(h.runtime.overlay().online(outcome.partner));
+    EXPECT_FALSE(outcome.delivered);
+  }
+  EXPECT_EQ(h.config.faults->stats().stale_oracle_refreshes, 1u);
+}
+
+TEST(OracleFaultTest, SnapshotRefreshesOnceAgeExceeded) {
+  StaleHarness h(
+      FaultPlan{}.add(FaultPlan::oracle_staleness(0.0, 1000.0, /*age=*/5.0)));
+  Rng rng(5);
+  h.snapshot_then_empty(rng);
+  // The snapshot aged out: refreshed against the emptied overlay.
+  h.runtime.advance_to(20.0);
+  EXPECT_EQ(h.runtime.orphan_step(1, rng).partner, kNoNode);
+  EXPECT_EQ(h.config.faults->stats().stale_oracle_refreshes, 2u);
+}
 
 TEST(NodeRuntimeFaultTest, LostInteractionCountsTowardTimeout) {
   // Every message sent in [0, 4) is lost; the transport heals at t = 4.
